@@ -274,13 +274,18 @@ CaseResult depthwise_int_case(std::uint64_t seed, const Backend& test,
   Rng rng(seed);
   CaseResult r;
   DepthwiseArgs a;
-  a.channels = rng.uniform_int(1, 8);
+  // Up to 16 channels and widths up to kernel + 40 (odd and even, so stride
+  // 2 sees both parities): output rows then span several 8-lane vectors
+  // plus a tail, the shape the SIMD kernels' border and tail paths need.
+  // Kernels 1 and 5, and pad 0 at kernel 3, keep the portable fallback
+  // covered.
+  a.channels = rng.uniform_int(1, 16);
   constexpr std::int64_t kKernels[] = {1, 3, 5};
   a.kernel = kKernels[rng.uniform_int(0, 2)];
   a.stride = pinned_stride > 0 ? pinned_stride : rng.uniform_int(1, 2);
   a.pad = rng.uniform_int(0, a.kernel / 2);
   a.in_h = a.kernel + rng.uniform_int(0, 9);
-  a.in_w = a.kernel + rng.uniform_int(0, 9);
+  a.in_w = a.kernel + rng.uniform_int(0, 40);
   a.active_channels =
       rng.coin(0.2) ? rng.uniform_int(0, a.channels) : a.channels;
   a.relu = rng.coin();
@@ -332,7 +337,9 @@ CaseResult depthwise_int_case(std::uint64_t seed, const Backend& test,
   portable_backend().depthwise_int(act.data(), batch, w.data(), a,
                                    out_ref.data());
   test.depthwise_int(act.data(), batch, w.data(), a, out_got.data());
-  compare_nmse(out_ref, out_got, &r);
+  // Bytewise, not NMSE: served logits must be identical on every backend
+  // (GoldenLogits), so even a 1-ulp or signed-zero drift is a failure.
+  compare_exact(out_ref, out_got, &r);
   return r;
 }
 

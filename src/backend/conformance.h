@@ -4,10 +4,11 @@
 // Every case is a pure function of (op, seed): the generator draws shapes,
 // strides/padding, bit-widths (8/4/2, mixed across operands) and data from
 // an Rng seeded with the case seed, runs the op on the portable table and
-// on the backend under test, and compares — bit-exact for integer outputs,
-// an NMSE bound for float outputs. Output buffers are sentinel-filled on
-// both sides first, so stride gaps and out-of-bounds writes are caught, not
-// just wrong values. A failing case reproduces from its printed seed alone:
+// on the backend under test, and compares — bit-exact for integer outputs
+// and for the integer depthwise op's float outputs, an NMSE bound for the
+// other float outputs. Output buffers are sentinel-filled on both sides
+// first, so stride gaps and out-of-bounds writes are caught, not just wrong
+// values. A failing case reproduces from its printed seed alone:
 //   ADQ_BACKEND=<name> test_backend_ops --seed=<seed> --op=<op>
 //
 // Consumers: tests/test_backend_ops.cpp (PR-gate conformance + fuzz +

@@ -1,10 +1,12 @@
-// Private declarations for the SIMD igemm translation units in this
+// Private declarations for the SIMD kernel translation units in this
 // directory. These symbols are implementation details of the avx2/vnni
 // backends — nothing outside src/backend/ may reference them; every other
-// caller goes through backend::active().igemm.
+// caller goes through backend::active().
 #pragma once
 
 #include <cstdint>
+
+#include "backend/backend.h"
 
 namespace adq {
 
@@ -48,6 +50,15 @@ void act_pack_avx2(const std::uint8_t* codes, std::int64_t count,
 /// Inverse of act_pack_avx2 (nibble/crumb split + byte interleave).
 void act_unpack_avx2(const std::uint8_t* packed, std::int64_t count,
                      int cell_bits, std::uint8_t* codes);
+
+/// AVX2 integer depthwise conv (backend::DepthwiseIntFn): a vectorised
+/// 9-tap loop over a zero_code-padded stack window for kernel 3, pad 1,
+/// stride 1 or 2; any other geometry runs the portable op. Bit-identical
+/// to the portable depthwise_int. Like act_pack_avx2, it is shared by the
+/// avx2 and vnni tables, whose cpuid checks both imply AVX2.
+void depthwise_int_avx2(const std::uint8_t* act, std::int64_t batch,
+                        const std::uint8_t* w_codes,
+                        const backend::DepthwiseArgs& args, float* out);
 
 /// True when the running CPU can execute the AVX-512 VNNI kernel.
 bool igemm_vnni_available();

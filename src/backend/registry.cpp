@@ -12,11 +12,12 @@
 namespace adq::backend {
 namespace {
 
-// The SIMD tiers share every op with the portable table except the GEMM —
-// today the only kernel with a hand-written vector variant. A tier that
-// later specialises more ops (the ROADMAP's native sub-byte path) just
-// overrides more slots here and the conformance harness covers it
-// automatically.
+// Each SIMD tier starts from the portable table and overrides the slots it
+// has a vector kernel for; everything else stays portable. Both avx2 and
+// vnni override igemm, igemm_w4, igemm_w2, depthwise_int, act_pack and
+// act_unpack (vnni with its own GEMMs, and the AVX2 depthwise and
+// pack/unpack kernels). A newly overridden slot is covered by the
+// conformance harness automatically.
 const Backend& avx2_backend() {
   static const Backend b = [] {
     Backend t = portable_backend();
@@ -25,6 +26,7 @@ const Backend& avx2_backend() {
     t.igemm = &igemm_u8_avx2;
     t.igemm_w4 = &igemm_u8w4_avx2;
     t.igemm_w2 = &igemm_u8w2_avx2;
+    t.depthwise_int = &depthwise_int_avx2;
     t.act_pack = &act_pack_avx2;
     t.act_unpack = &act_unpack_avx2;
     return t;
@@ -40,8 +42,10 @@ const Backend& vnni_backend() {
     t.igemm = &igemm_u8_vnni;
     t.igemm_w4 = &igemm_u8w4_vnni;
     t.igemm_w2 = &igemm_u8w2_vnni;
-    // The AVX2 activation pack/unpack is a strict subset of the VNNI ISA,
-    // so the VNNI tier reuses it rather than duplicating the kernels.
+    // The AVX2 depthwise and activation pack/unpack kernels are a strict
+    // subset of the VNNI ISA, so the VNNI tier reuses them rather than
+    // duplicating the kernels.
+    t.depthwise_int = &depthwise_int_avx2;
     t.act_pack = &act_pack_avx2;
     t.act_unpack = &act_unpack_avx2;
     return t;

@@ -1,8 +1,11 @@
 // Registry-driven kernel conformance harness (the ggml test-backend-ops
 // idea): every op in backend::kAllOps runs randomized cases on every
 // registered backend against the portable reference — bit-exact for integer
-// ops, NMSE-bounded for float ops. Cases are pure functions of (op, seed),
-// so any failure reproduces from the one-line command the harness prints:
+// ops and for depthwise_int's float outputs (served logits are
+// byte-identical on every backend), NMSE-bounded for the other float ops,
+// which every backend shares with portable. Cases are pure functions of
+// (op, seed), so any failure reproduces from the one-line command the
+// harness prints:
 //
 //   ADQ_BACKEND=<name> test_backend_ops --seed=<seed> --op=<op>
 //
@@ -129,6 +132,104 @@ TEST(BackendOps, DepthwiseIntBitwidthStrideMatrix) {
                         << repro_command(Op::kDepthwiseInt, seed, *bk)
                         << "  (directed: bits=" << bits
                         << " stride=" << stride << ")";
+        }
+      }
+    }
+  }
+}
+
+// Engine-scale depthwise: the five MobileNet-small (width 0.25) depthwise
+// geometries at batch 2 and int8/int4/int2 codes, plus one plane wider and
+// taller than the AVX2 kernel's staging window (column tiles + row bands).
+// Every variant must be bitwise equal to portable: ReLU on/off, zero_code
+// at both grid ends, a masked-channel case, and an epilogue that produces
+// -0.0 (ss = ca = cw = cc = 0, negative scale, shift -0.0f) so a ReLU that
+// flips the sign of zero is caught.
+TEST(BackendOps, DepthwiseIntMobileNetGeometriesBitExact) {
+  if (g_opts.have_seed || g_opts.have_op) {
+    GTEST_SKIP() << "--seed/--op repro runs skip the directed cases";
+  }
+  struct Geometry {
+    std::int64_t channels, h, w, stride;
+  };
+  constexpr Geometry kGeometries[] = {
+      {8, 32, 32, 1},  {16, 32, 32, 2}, {32, 16, 16, 1}, {32, 16, 16, 2},
+      {64, 8, 8, 1},   {2, 60, 270, 1}, {2, 60, 270, 2}};
+  constexpr int kBits[] = {8, 4, 2};
+  constexpr std::int64_t kBatch = 2;
+  const Backend& ref = *adq::backend::find_backend("portable");
+  std::mt19937 gen(0xd3f7u);
+  std::uniform_real_distribution<float> unit(0.0f, 1.0f);
+  for (const Geometry& g : kGeometries) {
+    for (int bits : kBits) {
+      const int max_code = (1 << bits) - 1;
+      for (int zero_code : {0, max_code}) {
+        for (bool relu : {false, true}) {
+          for (bool signed_zero : {false, true}) {
+            adq::backend::DepthwiseArgs a;
+            a.channels = g.channels;
+            a.in_h = g.h;
+            a.in_w = g.w;
+            a.kernel = 3;
+            a.stride = g.stride;
+            a.pad = 1;
+            // One geometry masks its upper half (eqn 5's pruned channels).
+            a.active_channels = g.channels == 32 && g.stride == 1
+                                    ? g.channels / 2
+                                    : g.channels;
+            a.relu = relu;
+            a.zero_code = static_cast<std::uint8_t>(zero_code);
+            const std::int64_t C = a.channels;
+            std::vector<std::uint8_t> act(
+                static_cast<std::size_t>(kBatch * C * g.h * g.w));
+            std::vector<std::uint8_t> w(static_cast<std::size_t>(C * 9));
+            const auto code = [&] {
+              return static_cast<std::uint8_t>(gen() % (max_code + 1));
+            };
+            for (auto& v : act) v = code();
+            for (auto& v : w) v = code();
+            std::vector<std::int32_t> sums(static_cast<std::size_t>(C), 0);
+            for (std::int64_t c = 0; c < C; ++c) {
+              for (int t = 0; t < 9; ++t) sums[c] += w[c * 9 + t];
+            }
+            a.w_code_sums = sums.data();
+            std::vector<float> es(static_cast<std::size_t>(C));
+            std::vector<float> eh(static_cast<std::size_t>(C));
+            if (signed_zero) {
+              for (auto& v : es) v = -0.5f - unit(gen);
+              for (auto& v : eh) v = -0.0f;
+            } else {
+              const float a_scale = 1e-3f + 2e-2f * unit(gen);
+              const float a_min = -unit(gen);
+              const float w_scale = 1e-3f + 2e-2f * unit(gen);
+              const float w_min = -unit(gen);
+              a.ss = a_scale * w_scale;
+              a.cw = a_min * w_scale;
+              a.ca = w_min * a_scale;
+              a.cc = 9.0f * a_min * w_min;
+              for (auto& v : es) v = 0.5f + unit(gen);
+              for (auto& v : eh) v = 2.0f * unit(gen) - 1.0f;
+            }
+            a.epi_scale = es.data();
+            a.epi_shift = eh.data();
+
+            std::vector<float> want(
+                static_cast<std::size_t>(kBatch * C * a.out_h() * a.out_w()),
+                -12345.678f);
+            ref.depthwise_int(act.data(), kBatch, w.data(), a, want.data());
+            for (const Backend* bk : backends_under_test()) {
+              std::vector<float> got(want.size(), -12345.678f);
+              bk->depthwise_int(act.data(), kBatch, w.data(), a, got.data());
+              EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << "backend '" << bk->name << "' diverges from portable: "
+                  << C << "x" << g.h << "x" << g.w << " stride "
+                  << g.stride << " int" << bits << " zero_code " << zero_code
+                  << " relu " << relu << " signed_zero " << signed_zero
+                  << " active " << a.active_channels;
+            }
+          }
         }
       }
     }
