@@ -2,8 +2,9 @@
 //
 // Every performance-critical op the integer engine executes — the u8 GEMM,
 // im2col patch lowering, depthwise convolution, activation quantize /
-// dequantize, the fused affine epilogue, the residual add, and sub-byte
-// pack/unpack — is reached through a Backend: a named table of typed kernel
+// dequantize, the fused affine epilogue, the residual add, sub-byte
+// pack/unpack, and the float GEMM its 16-bit layers and the whole training
+// path share — is reached through a Backend: a named table of typed kernel
 // pointers. Backends register in backend/registry.cpp (`portable`, `avx2`,
 // `vnni`); the engine calls ops only through backend::active(), so pinning
 // ADQ_BACKEND=<name> redirects every op end to end, and the conformance
@@ -21,9 +22,10 @@
 // too, signed zeros included: served logits are byte-identical on every
 // backend (GoldenLogits), so a float kernel keeps the portable evaluation
 // order and is never contracted into FMA. The conformance harness checks
-// depthwise_int — the one float op with a SIMD variant — bytewise; the
-// other float ops share the portable paths on every backend and are still
-// checked against an NMSE bound.
+// the two float ops with a SIMD variant — depthwise_int and sgemm (the
+// float GEMM under training and the engine's 16-bit float layers) —
+// bytewise; the other float ops share the portable paths on every backend
+// and are still checked against an NMSE bound.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +90,15 @@ using IgemmPackedFn = void (*)(std::int64_t m, std::int64_t n, std::int64_t k,
                                std::int64_t lda_bytes, const std::uint8_t* b,
                                std::int64_t ldb, std::int32_t* c,
                                std::int64_t ldc);
+
+/// C[m x n] = alpha * op(A)[m x k] * op(B)[k x n] + beta * C in float,
+/// row-major with row strides lda/ldb/ldc (tensor/gemm.h's sgemm, which
+/// forwards here). Bit-identical to sgemm_generic on every backend.
+using SgemmFn = void (*)(bool trans_a, bool trans_b, std::int64_t m,
+                         std::int64_t n, std::int64_t k, float alpha,
+                         const float* a, std::int64_t lda, const float* b,
+                         std::int64_t ldb, float beta, float* c,
+                         std::int64_t ldc);
 
 /// Lowers one image of u8 codes to its [patch, out_h*out_w] column block;
 /// patch row r starts at col + r * col_stride. Padding taps read pad_code.
@@ -186,6 +197,7 @@ struct Backend {
   UnpackCodesFn unpack_codes = nullptr;
   ActPackFn act_pack = nullptr;
   ActUnpackFn act_unpack = nullptr;
+  SgemmFn sgemm = nullptr;
 };
 
 /// The registry's op enumeration — one entry per Backend table slot. The
@@ -208,13 +220,15 @@ enum class Op {
   kBitpack,  // pack + unpack round trip, verified as one op
   kActPack,    // hot-path arena-slot compression (act_pack_u8pN)
   kActUnpack,  // hot-path arena-slot expansion (act_unpack_pNu8)
+  kSgemm,      // float GEMM (training + the engine's float layers)
 };
 
 inline constexpr Op kAllOps[] = {
     Op::kIgemm,       Op::kIgemmW4,     Op::kIgemmW2,   Op::kIm2colU8,
     Op::kIm2colF32,   Op::kDepthwiseInt, Op::kDepthwiseF32,
     Op::kQuantizeAct, Op::kFakeQuant,   Op::kDequantize, Op::kEpilogue,
-    Op::kResidualAdd, Op::kBitpack,     Op::kActPack,   Op::kActUnpack};
+    Op::kResidualAdd, Op::kBitpack,     Op::kActPack,   Op::kActUnpack,
+    Op::kSgemm};
 
 /// Stable lowercase op name (the --op filter / repro-command vocabulary).
 const char* op_name(Op op);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "backend/ops_portable.h"
@@ -690,6 +691,71 @@ CaseResult act_unpack_case(std::uint64_t seed, const Backend& test) {
   return r;
 }
 
+// Float GEMM, bytewise: every backend's sgemm must reproduce the portable
+// evaluation order exactly, so the training path and the engine's float
+// layers are bit-identical across backends. Shapes cross the driver's
+// Kc = 256 / Nc = 256 block edges on some draws and leave mr < 4 / nr < 16
+// tile tails on most; both transposes, alpha in {1, 0.5} (the alpha fold
+// into the A pack), beta in {0, 1, other} (the pre-scale). The ldc slack
+// holds sentinels, so a masked tail store that spills is caught, and A
+// carries -0.0 and +-inf entries on some draws, so signed zeros and the
+// NaNs inf * 0 makes must come out the same bytes.
+CaseResult sgemm_case(std::uint64_t seed, const Backend& test) {
+  Rng rng(seed);
+  CaseResult r;
+  const std::int64_t m = rng.uniform_int(1, 70);
+  const std::int64_t n =
+      rng.coin(0.25) ? rng.uniform_int(240, 300) : rng.uniform_int(1, 64);
+  const std::int64_t k = rng.coin(0.25)   ? rng.uniform_int(240, 600)
+                         : rng.coin(0.05) ? 0
+                                          : rng.uniform_int(1, 96);
+  const bool trans_a = rng.coin();
+  const bool trans_b = rng.coin();
+  const float alpha = rng.coin() ? 1.0f : 0.5f;
+  constexpr float kBetas[] = {0.0f, 1.0f, -0.75f};
+  const float beta = kBetas[rng.uniform_int(0, 2)];
+  // Stored operand shapes: op(A) is m x k, so A is k x m when transposed.
+  const std::int64_t a_rows = trans_a ? k : m, a_cols = trans_a ? m : k;
+  const std::int64_t b_rows = trans_b ? n : k, b_cols = trans_b ? k : n;
+  const std::int64_t lda = a_cols + rng.uniform_int(0, 5);
+  const std::int64_t ldb = b_cols + rng.uniform_int(0, 5);
+  const std::int64_t ldc = n + rng.uniform_int(0, 5);
+  const bool specials = rng.coin(0.3);
+  r.desc = "sgemm " + std::to_string(m) + "x" + std::to_string(n) + "x" +
+           std::to_string(k) + " trans=" + std::to_string(trans_a) + "," +
+           std::to_string(trans_b) + " alpha=" + std::to_string(alpha) +
+           " beta=" + std::to_string(beta) + " ld=" + std::to_string(lda) +
+           "," + std::to_string(ldb) + "," + std::to_string(ldc) +
+           (specials ? " specials" : "");
+
+  std::vector<float> a(static_cast<std::size_t>(std::max<std::int64_t>(
+      a_rows * lda, 1)));
+  std::vector<float> b(static_cast<std::size_t>(std::max<std::int64_t>(
+      b_rows * ldb, 1)));
+  fill_floats(rng, a.data(), static_cast<std::int64_t>(a.size()), -1, 1);
+  fill_floats(rng, b.data(), static_cast<std::int64_t>(b.size()), -1, 1);
+  if (specials && a_rows * lda > 0) {
+    const std::int64_t last = a_rows * lda - 1;
+    for (int i = 0; i < 8; ++i) a[rng.uniform_int(0, last)] = -0.0f;
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    a[rng.uniform_int(0, last)] = kInf;
+    a[rng.uniform_int(0, last)] = -kInf;
+  }
+
+  std::vector<float> c_ref(static_cast<std::size_t>(m * ldc), kSentinelF32);
+  for (std::int64_t i = 0; i < m; ++i) {
+    fill_floats(rng, c_ref.data() + i * ldc, n, -1, 1);
+    if (specials) c_ref[i * ldc] = -0.0f;
+  }
+  std::vector<float> c_got(c_ref);
+  portable_backend().sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda,
+                           b.data(), ldb, beta, c_ref.data(), ldc);
+  test.sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+             beta, c_got.data(), ldc);
+  compare_exact(c_ref, c_got, &r);
+  return r;
+}
+
 }  // namespace
 
 CaseResult run_conformance_case(Op op, std::uint64_t seed,
@@ -710,6 +776,7 @@ CaseResult run_conformance_case(Op op, std::uint64_t seed,
     case Op::kBitpack: return bitpack_case(seed, test);
     case Op::kActPack: return act_pack_case(seed, test);
     case Op::kActUnpack: return act_unpack_case(seed, test);
+    case Op::kSgemm: return sgemm_case(seed, test);
   }
   CaseResult r;
   r.ok = false;
@@ -975,6 +1042,24 @@ PerfSample measure_perf(Op op, const Backend& test, int bits) {
             [&] { test.act_unpack(packed.data(), n, cell, un.data()); });
         s.value = static_cast<double>(n) / sec * 1e-9;
       }
+      return s;
+    }
+    case Op::kSgemm: {
+      // The forward GEMM of a VGG19 w0.125 training conv (16 -> 16
+      // channels on a 16x16 map: O x ohw x P); GFLOP/s counts the multiply
+      // and the add.
+      const std::int64_t m = 16, n = 256, k = 144;
+      std::vector<float> a(static_cast<std::size_t>(m * k));
+      std::vector<float> b(static_cast<std::size_t>(k * n));
+      fill_floats(rng, a.data(), m * k, -1, 1);
+      fill_floats(rng, b.data(), k * n, -1, 1);
+      std::vector<float> c(static_cast<std::size_t>(m * n));
+      const double sec = time_op([&] {
+        test.sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n,
+                   0.0f, c.data(), n);
+      });
+      s.value = static_cast<double>(2 * m * n * k) / sec * 1e-9;
+      s.unit = "GFLOP/s";
       return s;
     }
     case Op::kBitpack: {

@@ -5,10 +5,10 @@
 // strides/padding, bit-widths (8/4/2, mixed across operands) and data from
 // an Rng seeded with the case seed, runs the op on the portable table and
 // on the backend under test, and compares — bit-exact for integer outputs
-// and for the integer depthwise op's float outputs, an NMSE bound for the
-// other float outputs. Output buffers are sentinel-filled on both sides
-// first, so stride gaps and out-of-bounds writes are caught, not just wrong
-// values. A failing case reproduces from its printed seed alone:
+// and for the float outputs of the integer depthwise op and of sgemm, an
+// NMSE bound for the other float outputs. Output buffers are
+// sentinel-filled on both sides first, so stride gaps and out-of-bounds
+// writes are caught, not just wrong values. A failing case reproduces from its printed seed alone:
 //   ADQ_BACKEND=<name> test_backend_ops --seed=<seed> --op=<op>
 //
 // Consumers: tests/test_backend_ops.cpp (PR-gate conformance + fuzz +
@@ -46,7 +46,8 @@ std::string repro_command(Op op, std::uint64_t seed, const Backend& test);
 /// Throughput of `op` on `test` over a fixed representative workload.
 /// MAC-counting ops (igemm, depthwise) report GMAC/s — for igemm, `bits`
 /// caps the code range (8/4/2), matching how mixed-precision layers feed
-/// it; bandwidth ops report GB/s and ignore `bits`.
+/// it; sgemm reports GFLOP/s at a VGG training shape; bandwidth ops report
+/// GB/s and ignore `bits`.
 struct PerfSample {
   double value = 0.0;
   const char* unit = "GB/s";

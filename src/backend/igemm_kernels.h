@@ -60,6 +60,16 @@ void depthwise_int_avx2(const std::uint8_t* act, std::int64_t batch,
                         const std::uint8_t* w_codes,
                         const backend::DepthwiseArgs& args, float* out);
 
+/// AVX2 float GEMM (backend::SgemmFn): detail::sgemm_blocked with a 4 x 16
+/// micro-kernel of two ymm accumulators per row, multiply then add in the
+/// portable order (no FMA), masked loads/stores for nr < 16 tails.
+/// Bit-identical to sgemm_generic. Shared by the avx2 and vnni tables,
+/// whose cpuid checks both imply AVX2.
+void sgemm_avx2(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                std::int64_t k, float alpha, const float* a, std::int64_t lda,
+                const float* b, std::int64_t ldb, float beta, float* c,
+                std::int64_t ldc);
+
 /// True when the running CPU can execute the AVX-512 VNNI kernel.
 bool igemm_vnni_available();
 

@@ -18,6 +18,7 @@
 
 #include "quant/quantizer.h"
 #include "tensor/bitpack.h"
+#include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 #include "tensor/im2col.h"
 #include "tensor/parallel.h"
@@ -346,6 +347,7 @@ const Backend& portable_backend() {
     t.unpack_codes = &unpack_codes_op;
     t.act_pack = &act_pack_op;
     t.act_unpack = &act_unpack_op;
+    t.sgemm = &sgemm_generic;
     return t;
   }();
   return b;

@@ -14,10 +14,10 @@ namespace {
 
 // Each SIMD tier starts from the portable table and overrides the slots it
 // has a vector kernel for; everything else stays portable. Both avx2 and
-// vnni override igemm, igemm_w4, igemm_w2, depthwise_int, act_pack and
-// act_unpack (vnni with its own GEMMs, and the AVX2 depthwise and
-// pack/unpack kernels). A newly overridden slot is covered by the
-// conformance harness automatically.
+// vnni override igemm, igemm_w4, igemm_w2, depthwise_int, act_pack,
+// act_unpack and sgemm (vnni with its own integer GEMMs, and the AVX2
+// depthwise, pack/unpack and float GEMM kernels). A newly overridden slot
+// is covered by the conformance harness automatically.
 const Backend& avx2_backend() {
   static const Backend b = [] {
     Backend t = portable_backend();
@@ -29,6 +29,7 @@ const Backend& avx2_backend() {
     t.depthwise_int = &depthwise_int_avx2;
     t.act_pack = &act_pack_avx2;
     t.act_unpack = &act_unpack_avx2;
+    t.sgemm = &sgemm_avx2;
     return t;
   }();
   return b;
@@ -42,12 +43,13 @@ const Backend& vnni_backend() {
     t.igemm = &igemm_u8_vnni;
     t.igemm_w4 = &igemm_u8w4_vnni;
     t.igemm_w2 = &igemm_u8w2_vnni;
-    // The AVX2 depthwise and activation pack/unpack kernels are a strict
-    // subset of the VNNI ISA, so the VNNI tier reuses them rather than
-    // duplicating the kernels.
+    // The AVX2 depthwise, activation pack/unpack and float GEMM kernels
+    // are a strict subset of the VNNI ISA, so the VNNI tier reuses them
+    // rather than duplicating the kernels.
     t.depthwise_int = &depthwise_int_avx2;
     t.act_pack = &act_pack_avx2;
     t.act_unpack = &act_unpack_avx2;
+    t.sgemm = &sgemm_avx2;
     return t;
   }();
   return b;
@@ -164,6 +166,7 @@ const char* op_name(Op op) {
     case Op::kBitpack: return "bitpack";
     case Op::kActPack: return "act_pack";
     case Op::kActUnpack: return "act_unpack";
+    case Op::kSgemm: return "sgemm";
   }
   return "?";
 }

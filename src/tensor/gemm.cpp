@@ -4,22 +4,26 @@
 #include <stdexcept>
 #include <vector>
 
+#include "backend/registry.h"
 #include "tensor/parallel.h"
 
 namespace adq {
 namespace {
 
-// Register block: 4 rows x 16 columns of C held in accumulators. 16 floats
-// spans two AVX2 lanes, which gcc vectorises cleanly at -O3 -march=native.
-constexpr std::int64_t kMr = 4;
-constexpr std::int64_t kNr = 16;
+// Register block: 4 rows x 16 columns of C held in accumulators. This TU is
+// built for the baseline ISA (no -mavx2, no -march=native), so gcc
+// vectorises the portable micro-kernel below at SSE2 width only; the
+// avx2/vnni backends supply a native 256-bit kernel for the same tile
+// (src/backend/sgemm_avx2.cpp).
+constexpr std::int64_t kMr = detail::kSgemmMr;
+constexpr std::int64_t kNr = detail::kSgemmNr;
 // Cache blocks: Kc*Nr floats of B-panel must fit in L1, Mc*Kc of A in L2.
 constexpr std::int64_t kKc = 256;
 constexpr std::int64_t kNc = 256;
 
-// Computes a full MR x NR tile: C[0..mr) x [0..nr) += A_panel * B_panel.
-// a_panel: mr rows with stride lda (already offset); b_panel: kc rows of nr
-// columns, contiguous stride ldb.
+// Portable detail::SgemmMicroFn. Computes a full MR x NR tile:
+// C[0..mr) x [0..nr) += A_panel * B_panel. a_panel: mr rows with stride lda
+// (already offset); b_panel: kc rows of nr columns, contiguous stride ldb.
 void micro_kernel(std::int64_t kc, const float* a, std::int64_t lda,
                   const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
                   std::int64_t mr, std::int64_t nr) {
@@ -77,10 +81,13 @@ void pack_block(const MatView& m, std::int64_t r0, std::int64_t mc,
 
 }  // namespace
 
-void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-           std::int64_t k, float alpha, const float* a, std::int64_t lda,
-           const float* b, std::int64_t ldb, float beta, float* c,
-           std::int64_t ldc) {
+namespace detail {
+
+void sgemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                   std::int64_t k, float alpha, const float* a,
+                   std::int64_t lda, const float* b, std::int64_t ldb,
+                   float beta, float* c, std::int64_t ldc,
+                   SgemmMicroFn micro) {
   if (m <= 0 || n <= 0) return;
 
   // Scale C by beta first so the accumulation loop is pure +=.
@@ -134,15 +141,32 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
             const std::int64_t nr = std::min(kNr, nc - jr);
             for (std::int64_t ir = 0; ir < mc; ir += kMr) {
               const std::int64_t mr = std::min(kMr, mc - ir);
-              micro_kernel(kc, a_pack + ir * kc, kc,
-                           b_pack + jr, nc,
-                           c + (i0 + ir) * ldc + (j0 + jr), ldc, mr, nr);
+              micro(kc, a_pack + ir * kc, kc, b_pack + jr, nc,
+                    c + (i0 + ir) * ldc + (j0 + jr), ldc, mr, nr);
             }
           }
         }
       }
     }
   });
+}
+
+}  // namespace detail
+
+void sgemm_generic(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                   std::int64_t k, float alpha, const float* a,
+                   std::int64_t lda, const float* b, std::int64_t ldb,
+                   float beta, float* c, std::int64_t ldc) {
+  detail::sgemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta,
+                        c, ldc, &micro_kernel);
+}
+
+void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+           std::int64_t k, float alpha, const float* a, std::int64_t lda,
+           const float* b, std::int64_t ldb, float beta, float* c,
+           std::int64_t ldc) {
+  backend::active().sgemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
+                          beta, c, ldc);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {

@@ -1,9 +1,9 @@
 // Registry-driven kernel conformance harness (the ggml test-backend-ops
 // idea): every op in backend::kAllOps runs randomized cases on every
 // registered backend against the portable reference — bit-exact for integer
-// ops and for depthwise_int's float outputs (served logits are
-// byte-identical on every backend), NMSE-bounded for the other float ops,
-// which every backend shares with portable. Cases are pure functions of
+// ops and for the float outputs of depthwise_int and sgemm (served logits
+// and training runs are byte-identical on every backend), NMSE-bounded for
+// the other float ops, which every backend shares with portable. Cases are pure functions of
 // (op, seed), so any failure reproduces from the one-line command the
 // harness prints:
 //
@@ -12,16 +12,17 @@
 // Modes (flags are consumed before InitGoogleTest, so they compose with
 // --gtest_filter):
 //   --seed=N   run only case seed N (the repro path)
-//   --op=NAME  restrict to one op (igemm, depthwise_int, bitpack, ...)
+//   --op=NAME  restrict to one op (igemm, depthwise_int, sgemm, ...)
 //   --fuzz=N   add N extra cases per op per backend from a random_device
 //              base seed (printed, so the whole run is reproducible)
 //   --perf     skip tests; time every op on every available backend and
 //              write BENCH_bench_backend_ops.json (GMAC/s for MAC ops at
-//              8/4/2 bits, GB/s for bandwidth ops)
+//              8/4/2 bits, GFLOP/s for sgemm, GB/s for bandwidth ops)
 //
 // ADQ_BACKEND pins the backend under test; unset, all available backends
 // are driven. Coverage lives in src/backend/conformance.cpp — this file is
 // only the driver, so bench_micro and future tools share the same cases.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -236,6 +237,76 @@ TEST(BackendOps, DepthwiseIntMobileNetGeometriesBitExact) {
   }
 }
 
+// Training-scale sgemm: the GEMM trio of every BN-free VGG19 w0.125 conv on
+// 32x32 inputs (batch 1 per call, as nn::Conv2d issues them) and the
+// classifier's nn::Linear forward and backward at batch 32, called exactly
+// as the layers call them. This covers the 2x2 layers (n = 4) and the
+// K = 8 dX of the 8-channel layers. Every available backend must be
+// memcmp-equal to portable, sentinels in the ldc slack included.
+TEST(BackendOps, SgemmTrainingShapesBitExact) {
+  if (g_opts.have_seed || g_opts.have_op) {
+    GTEST_SKIP() << "--seed/--op repro runs skip the directed cases";
+  }
+  struct Call {
+    bool trans_a, trans_b;
+    std::int64_t m, n, k, lda, ldb;
+    float beta;
+    const char* what;
+  };
+  std::vector<Call> calls;
+  // VGG19 body: base widths x 0.125, a 2x2 max-pool after convs 2, 4, 8,
+  // 12 and 16 (models/vgg.cpp).
+  constexpr std::int64_t kWidths[16] = {8,  8,  16, 16, 32, 32, 32, 32,
+                                        64, 64, 64, 64, 64, 64, 64, 64};
+  constexpr bool kPoolAfter[16] = {false, true,  false, true,  false, false,
+                                   false, true,  false, false, false, true,
+                                   false, false, false, true};
+  std::int64_t in_c = 3, size = 32;
+  for (int i = 0; i < 16; ++i) {
+    const std::int64_t O = kWidths[i], P = in_c * 9, ohw = size * size;
+    calls.push_back({false, false, O, ohw, P, P, ohw, 0.0f, "conv forward"});
+    calls.push_back({false, true, O, P, ohw, ohw, ohw, 1.0f, "conv wgrad"});
+    calls.push_back({true, false, P, ohw, O, P, ohw, 0.0f, "conv dX"});
+    in_c = O;
+    if (kPoolAfter[i]) size /= 2;
+  }
+  const std::int64_t batch = 32, in = in_c * size * size, out = 10;
+  calls.push_back({false, true, batch, out, in, in, in, 0.0f, "fc forward"});
+  calls.push_back({true, false, out, in, batch, out, in, 1.0f, "fc wgrad"});
+  calls.push_back({false, false, batch, in, out, out, in, 0.0f, "fc dX"});
+
+  const Backend& ref = *adq::backend::find_backend("portable");
+  std::mt19937 gen(0x5e77u);
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  for (const Call& c : calls) {
+    const std::int64_t a_rows = c.trans_a ? c.k : c.m;
+    const std::int64_t b_rows = c.trans_b ? c.n : c.k;
+    const std::int64_t ldc = c.n + 3;
+    std::vector<float> a(static_cast<std::size_t>(a_rows * c.lda));
+    std::vector<float> b(static_cast<std::size_t>(b_rows * c.ldb));
+    for (auto& v : a) v = unit(gen);
+    // ReLU'd activations: about half the B entries are exact zeros.
+    for (auto& v : b) v = std::max(unit(gen), 0.0f);
+    std::vector<float> want(static_cast<std::size_t>(c.m * ldc), -12345.678f);
+    for (std::int64_t i = 0; i < c.m; ++i) {
+      for (std::int64_t j = 0; j < c.n; ++j) want[i * ldc + j] = unit(gen);
+    }
+    const std::vector<float> c0 = want;
+    ref.sgemm(c.trans_a, c.trans_b, c.m, c.n, c.k, 1.0f, a.data(), c.lda,
+              b.data(), c.ldb, c.beta, want.data(), ldc);
+    for (const Backend* bk : backends_under_test()) {
+      std::vector<float> got = c0;
+      bk->sgemm(c.trans_a, c.trans_b, c.m, c.n, c.k, 1.0f, a.data(), c.lda,
+                b.data(), c.ldb, c.beta, got.data(), ldc);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "backend '" << bk->name << "' diverges from portable on "
+          << c.what << " " << c.m << "x" << c.n << "x" << c.k;
+    }
+  }
+}
+
 // Fuzz mode: extra cases from a fresh base seed. The base is printed up
 // front, and every failure prints its own absolute seed, so a CI hit is
 // reproducible without rerunning the whole sweep.
@@ -294,6 +365,7 @@ TEST(BackendRegistry, EveryBackendTableIsComplete) {
     EXPECT_NE(bk->unpack_codes, nullptr);
     EXPECT_NE(bk->act_pack, nullptr);
     EXPECT_NE(bk->act_unpack, nullptr);
+    EXPECT_NE(bk->sgemm, nullptr);
   }
 }
 
@@ -380,7 +452,7 @@ TEST(BackendRegistry, OpNamesRoundTrip) {
     EXPECT_EQ(parsed, op);
   }
   Op parsed{};
-  EXPECT_FALSE(op_from_name("sgemm", &parsed));
+  EXPECT_FALSE(op_from_name("not_an_op", &parsed));
 }
 
 // --- Perf mode --------------------------------------------------------------

@@ -5,11 +5,16 @@
 // stays in the seconds range while exercising the full code path.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "backend/registry.h"
 #include "core/ad_pruner.h"
 #include "core/ad_quantizer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "models/vgg.h"
+#include "tensor/parallel.h"
 
 namespace adq::core {
 namespace {
@@ -100,6 +105,83 @@ TEST(Trainer, EvaluateRestoresTrainingState) {
   EXPECT_TRUE(model->unit(1).meter.active());
   // And eval must not have contaminated the fresh epoch accumulators.
   EXPECT_EQ(model->unit(1).meter.observed_total(), 0);
+}
+
+// Everything two AD training epochs produce: per-epoch loss and accuracy,
+// the committed per-unit densities, and every parameter tensor after.
+struct TrainingRun {
+  std::vector<double> losses, accuracies;
+  std::vector<std::vector<double>> densities;
+  std::vector<std::vector<float>> params;
+};
+
+// Two Trainer::run_epoch on a BN-free VGG19 w0.125 (the paper's AD regime)
+// at the Table II(a) iteration-2 bits, every op on backend `bk`. Runs at a
+// one-thread budget: Conv2d::backward merges per-chunk weight gradients in
+// completion order, so only a serial run is reproducible bit for bit.
+TrainingRun train_two_epochs(const backend::Backend& bk) {
+  const backend::Backend* prev = backend::exchange_backend_override(&bk);
+  ScopedThreadBudget serial(1);
+  Rng rng(31);
+  const data::TrainTestSplit split = tiny_data(4, 64, 32);
+  models::VggConfig mc;
+  mc.width_mult = 0.125;
+  mc.num_classes = 4;
+  mc.use_batchnorm = false;
+  auto model = models::build_vgg19(mc, rng);
+  model->apply_bit_policy(quant::BitWidthPolicy(
+      {16, 4, 5, 4, 3, 2, 2, 2, 3, 3, 3, 4, 3, 3, 3, 3, 16}));
+  TrainerConfig cfg;
+  cfg.batch_size = 32;
+  cfg.lr = 3e-4f;
+  cfg.seed = 5;
+  Trainer trainer(*model, split.train, split.test, cfg);
+  TrainingRun run;
+  for (int e = 0; e < 2; ++e) {
+    const EpochStats st = trainer.run_epoch();
+    run.losses.push_back(st.train_loss);
+    run.accuracies.push_back(st.train_accuracy);
+    run.densities.push_back(st.densities);
+  }
+  for (nn::Parameter* p : model->parameters()) {
+    run.params.emplace_back(p->value.data(), p->value.data() + p->value.numel());
+  }
+  backend::exchange_backend_override(prev);
+  return run;
+}
+
+template <typename T>
+bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Training is bit-identical on every backend: the float GEMM, fake quant
+// and im2col a training step runs all keep the portable evaluation order,
+// so the paper-table benches read the same numbers whichever backend the
+// host resolves.
+TEST(Trainer, BitIdenticalAcrossBackends) {
+  const TrainingRun want =
+      train_two_epochs(*backend::find_backend("portable"));
+  ASSERT_EQ(want.losses.size(), 2u);
+  ASSERT_TRUE(std::isfinite(want.losses[1]));
+  for (const backend::Backend* bk : backend::available_backends()) {
+    if (std::strcmp(bk->name, "portable") == 0) continue;
+    SCOPED_TRACE(bk->name);
+    const TrainingRun got = train_two_epochs(*bk);
+    EXPECT_TRUE(bytes_equal(want.losses, got.losses));
+    EXPECT_TRUE(bytes_equal(want.accuracies, got.accuracies));
+    ASSERT_EQ(want.densities.size(), got.densities.size());
+    for (std::size_t e = 0; e < want.densities.size(); ++e) {
+      EXPECT_TRUE(bytes_equal(want.densities[e], got.densities[e]))
+          << "epoch " << e;
+    }
+    ASSERT_EQ(want.params.size(), got.params.size());
+    for (std::size_t i = 0; i < want.params.size(); ++i) {
+      EXPECT_TRUE(bytes_equal(want.params[i], got.params[i]))
+          << "parameter " << i;
+    }
+  }
 }
 
 TEST(Controller, RunsIterationsAndQuantizes) {
