@@ -721,19 +721,34 @@ CaseResult sgemm_case(std::uint64_t seed, const Backend& test) {
   const std::int64_t ldb = b_cols + rng.uniform_int(0, 5);
   const std::int64_t ldc = n + rng.uniform_int(0, 5);
   const bool specials = rng.coin(0.3);
+  // In-place B: a plain B is read by the micro-kernel straight from the
+  // caller's memory. On these draws its row stride exceeds n, the slack
+  // between rows holds sentinels, and the allocation ends at the last
+  // row's n-th column, so a tile that reads past n columns either pulls a
+  // sentinel into C or runs off the heap block (ASan).
+  const bool tight_b = !trans_b && k > 0 && rng.coin();
+  const std::int64_t ldb_used = tight_b ? n + rng.uniform_int(1, 9) : ldb;
   r.desc = "sgemm " + std::to_string(m) + "x" + std::to_string(n) + "x" +
            std::to_string(k) + " trans=" + std::to_string(trans_a) + "," +
            std::to_string(trans_b) + " alpha=" + std::to_string(alpha) +
            " beta=" + std::to_string(beta) + " ld=" + std::to_string(lda) +
-           "," + std::to_string(ldb) + "," + std::to_string(ldc) +
-           (specials ? " specials" : "");
+           "," + std::to_string(ldb_used) + "," + std::to_string(ldc) +
+           (specials ? " specials" : "") + (tight_b ? " tight_b" : "");
 
   std::vector<float> a(static_cast<std::size_t>(std::max<std::int64_t>(
       a_rows * lda, 1)));
-  std::vector<float> b(static_cast<std::size_t>(std::max<std::int64_t>(
-      b_rows * ldb, 1)));
+  std::vector<float> b(static_cast<std::size_t>(
+      tight_b ? (k - 1) * ldb_used + n
+              : std::max<std::int64_t>(b_rows * ldb, 1)));
   fill_floats(rng, a.data(), static_cast<std::int64_t>(a.size()), -1, 1);
-  fill_floats(rng, b.data(), static_cast<std::int64_t>(b.size()), -1, 1);
+  if (tight_b) {
+    std::fill(b.begin(), b.end(), kSentinelF32);
+    for (std::int64_t p = 0; p < k; ++p) {
+      fill_floats(rng, b.data() + p * ldb_used, n, -1, 1);
+    }
+  } else {
+    fill_floats(rng, b.data(), static_cast<std::int64_t>(b.size()), -1, 1);
+  }
   if (specials && a_rows * lda > 0) {
     const std::int64_t last = a_rows * lda - 1;
     for (int i = 0; i < 8; ++i) a[rng.uniform_int(0, last)] = -0.0f;
@@ -748,11 +763,38 @@ CaseResult sgemm_case(std::uint64_t seed, const Backend& test) {
     if (specials) c_ref[i * ldc] = -0.0f;
   }
   std::vector<float> c_got(c_ref);
+  std::vector<float> c0;
+  if (tight_b) c0 = c_ref;
   portable_backend().sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda,
-                           b.data(), ldb, beta, c_ref.data(), ldc);
-  test.sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(), ldb,
-             beta, c_got.data(), ldc);
-  compare_exact(c_ref, c_got, &r);
+                           b.data(), ldb_used, beta, c_ref.data(), ldc);
+  test.sgemm(trans_a, trans_b, m, n, k, alpha, a.data(), lda, b.data(),
+             ldb_used, beta, c_got.data(), ldc);
+  if (!compare_exact(c_ref, c_got, &r)) return r;
+  if (tight_b) {
+    // The backends share the driver, so a stride slip there would agree
+    // with itself: check against a plain triple loop, within float
+    // rounding, that no sentinel reached C.
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        double want = static_cast<double>(beta) * c0[i * ldc + j];
+        double mag = std::abs(want);
+        for (std::int64_t p = 0; p < k; ++p) {
+          const double av = trans_a ? a[p * lda + i] : a[i * lda + p];
+          const double t = alpha * av * b[p * ldb_used + j];
+          want += t;
+          mag += std::abs(t);
+        }
+        const double got = c_got[i * ldc + j];
+        if (std::isfinite(mag) && !(std::abs(got - want) <= 1e-5 * mag + 1e-6)) {
+          r.ok = false;
+          r.detail = "in-place B: C[" + std::to_string(i) + "," +
+                     std::to_string(j) + "] = " + std::to_string(got) +
+                     ", naive sum " + std::to_string(want);
+          return r;
+        }
+      }
+    }
+  }
   return r;
 }
 

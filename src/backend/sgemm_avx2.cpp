@@ -5,9 +5,10 @@
 // pack panels are detail::sgemm_blocked's, shared with sgemm_generic.
 //
 // Each row of the tile is two ymm accumulators (16 floats). Per k step the
-// kernel loads one 16-float row of the B panel, broadcasts the row's A
-// element, and does _mm256_mul_ps then _mm256_add_ps into the accumulators
-// — for every element of C the same sequence the portable kernel runs:
+// kernel loads one 16-float row of the B panel (the driver's pack, or the
+// caller's plain B in place), broadcasts the row's A element, and does
+// _mm256_mul_ps then _mm256_add_ps into the accumulators — for every
+// element of C the same sequence the portable kernel runs:
 // accumulator from +0.0f, acc + a*b in ascending p, then one add into C
 // per Kc block. This file gets -mavx2 but not -mfma, so nothing is
 // contracted and the output is bit-identical to sgemm_generic (enforced

@@ -18,14 +18,6 @@
 namespace adq::infer {
 namespace {
 
-// Slab cap for the batched im2col lowering: a conv chunk never materialises
-// more than this many patch-matrix bytes at once. Besides bounding
-// transient memory for huge batches, the cap keeps the slab + accumulators
-// inside L2 — one oversized chunk streams from L3 and costs more than the
-// panel-packing amortization it buys (measured: a 2.4 MiB slab at batch 16
-// serves ~15% slower than four cache-resident chunks of it).
-constexpr std::int64_t kMaxSlabBytes = 768 << 10;
-
 using backend::ActQuant;
 
 // A value flowing through the slot-based executor: where its bytes live

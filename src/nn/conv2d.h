@@ -1,7 +1,15 @@
 // 2-D convolution with integrated fake-quantization and channel masking.
 //
-// Forward lowers each image with im2col and runs one GEMM per image
-// (parallelised over the batch). Quantization-aware training follows the
+// Forward lowers a chunk of images at a time into one im2col patch slab
+// and runs one GEMM per chunk; the chunk size comes from the layer shape
+// (a slab byte target), never the thread count. Chunks run in parallel;
+// a layer with a single chunk parallelises inside its GEMM. Backward reuses the same lowering: the
+// weight gradient is one GEMM per chunk, added up in chunk order; a
+// stride-1 conv's input gradient is a convolution of the output gradient
+// with the flipped, channel-transposed kernel, and a strided conv's runs
+// W^T * g through col2im. Every sum therefore has an order fixed by the
+// shapes alone, so training is bit-identical at any thread count and on
+// every backend. Quantization-aware training follows the
 // paper: both the weights and the input activations are snapped to the
 // layer's k-bit grid (eqn 1) before the convolution; backward uses the
 // straight-through estimator, i.e. gradients flow through the quantizers

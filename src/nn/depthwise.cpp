@@ -1,6 +1,6 @@
 #include "nn/depthwise.h"
 
-#include <mutex>
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -90,46 +90,44 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
 
   Tensor grad_x(cached_input_q_.shape());  // zero-initialised; accumulated into
   const float* wq = cached_weight_q_.data();
-  // Per-(channel, thread-chunk) local weight-gradient accumulators merged
-  // under a mutex, mirroring Conv2d::backward. STE: the quantized-weight
-  // gradient applies to the float master weight.
-  std::mutex wgrad_mutex;
-  parallel_for(0, B * channels_, [&](std::int64_t p0, std::int64_t p1) {
-    std::vector<float> local_wgrad(
-        static_cast<std::size_t>(channels_ * kernel_ * kernel_), 0.0f);
-    std::vector<float> local_bgrad(static_cast<std::size_t>(channels_), 0.0f);
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const std::int64_t c = p % channels_;
-      const float* plane = cached_input_q_.data() + p * H * W;
-      const float* gb = grad.data() + p * oh * ow;
-      const float* w = wq + c * kernel_ * kernel_;
-      float* wg = local_wgrad.data() + c * kernel_ * kernel_;
-      float* gx = grad_x.data() + p * H * W;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t xo = 0; xo < ow; ++xo) {
-          const float g = gb[y * ow + xo];
-          if (use_bias_) local_bgrad[static_cast<std::size_t>(c)] += g;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const std::int64_t iy = y * stride_ + ky - pad_;
-            if (iy < 0 || iy >= H) continue;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const std::int64_t ix = xo * stride_ + kx - pad_;
-              if (ix < 0 || ix >= W) continue;
-              wg[ky * kernel_ + kx] += g * plane[iy * W + ix];
-              gx[iy * W + ix] += g * w[ky * kernel_ + kx];
+  const std::int64_t kk = kernel_ * kernel_;
+  // Parallel over channels: channel c's weight and bias gradient are summed
+  // by one task, over the batch in image order, so no two tasks share an
+  // accumulator and the result is the same at any thread count. STE: the
+  // quantized-weight gradient applies to the float master weight.
+  parallel_for(0, channels_, [&](std::int64_t c0, std::int64_t c1) {
+    std::vector<float> wg(static_cast<std::size_t>(kk));
+    for (std::int64_t c = c0; c < c1; ++c) {
+      std::fill(wg.begin(), wg.end(), 0.0f);
+      float bg = 0.0f;
+      const float* w = wq + c * kk;
+      for (std::int64_t b = 0; b < B; ++b) {
+        const std::int64_t p = b * channels_ + c;
+        const float* plane = cached_input_q_.data() + p * H * W;
+        const float* gb = grad.data() + p * oh * ow;
+        float* gx = grad_x.data() + p * H * W;
+        for (std::int64_t y = 0; y < oh; ++y) {
+          for (std::int64_t xo = 0; xo < ow; ++xo) {
+            const float g = gb[y * ow + xo];
+            bg += g;
+            for (std::int64_t ky = 0; ky < kernel_; ++ky) {
+              const std::int64_t iy = y * stride_ + ky - pad_;
+              if (iy < 0 || iy >= H) continue;
+              for (std::int64_t kx = 0; kx < kernel_; ++kx) {
+                const std::int64_t ix = xo * stride_ + kx - pad_;
+                if (ix < 0 || ix >= W) continue;
+                wg[static_cast<std::size_t>(ky * kernel_ + kx)] +=
+                    g * plane[iy * W + ix];
+                gx[iy * W + ix] += g * w[ky * kernel_ + kx];
+              }
             }
           }
         }
       }
-    }
-    std::lock_guard<std::mutex> lock(wgrad_mutex);
-    for (std::int64_t i = 0; i < channels_ * kernel_ * kernel_; ++i) {
-      weight_.grad[i] += local_wgrad[static_cast<std::size_t>(i)];
-    }
-    if (use_bias_) {
-      for (std::int64_t c = 0; c < channels_; ++c) {
-        bias_.grad[c] += local_bgrad[static_cast<std::size_t>(c)];
+      for (std::int64_t t = 0; t < kk; ++t) {
+        weight_.grad[c * kk + t] += wg[static_cast<std::size_t>(t)];
       }
+      if (use_bias_) bias_.grad[c] += bg;
     }
   });
   return grad_x;

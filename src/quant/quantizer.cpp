@@ -54,9 +54,19 @@ void fake_quantize_buf(const float* px, std::int64_t n, float x_min,
   const std::int64_t levels = max_code(bits);
   const float scale = (x_max - x_min) / static_cast<float>(levels);
   const float inv_scale = static_cast<float>(levels) / (x_max - x_min);
+  // Round to nearest-even by the 2^23 magic number: for 0 <= v <= 2^23,
+  // v + 2^23 lands where the float spacing is exactly 1, so the add itself
+  // rounds v to an integer (ties to even, the default FP environment), and
+  // subtracting 2^23 back is exact. bits <= 23 keeps v within range, so
+  // this is bit-identical to std::nearbyint(v), but a plain add/sub pair
+  // that vectorises instead of a libm call per element. The identity needs
+  // v rounded to float before the add, so this file is built with
+  // -ffp-contract=off (no fused multiply-add of v's product into it).
+  constexpr float kRoundMagic = 8388608.0f;  // 2^23
   for (std::int64_t i = 0; i < n; ++i) {
     const float clamped = std::clamp(px[i], x_min, x_max);
-    const float code = std::nearbyint((clamped - x_min) * inv_scale);
+    const float v = (clamped - x_min) * inv_scale;
+    const float code = (v + kRoundMagic) - kRoundMagic;
     po[i] = x_min + code * scale;
   }
 }

@@ -20,10 +20,12 @@ constexpr std::int64_t kNr = detail::kSgemmNr;
 // Cache blocks: Kc*Nr floats of B-panel must fit in L1, Mc*Kc of A in L2.
 constexpr std::int64_t kKc = 256;
 constexpr std::int64_t kNc = 256;
+constexpr std::int64_t kMc = 256;
 
 // Portable detail::SgemmMicroFn. Computes a full MR x NR tile:
 // C[0..mr) x [0..nr) += A_panel * B_panel. a_panel: mr rows with stride lda
-// (already offset); b_panel: kc rows of nr columns, contiguous stride ldb.
+// (already offset); b_panel: kc rows of nr columns at row stride ldb, never
+// read past column nr.
 void micro_kernel(std::int64_t kc, const float* a, std::int64_t lda,
                   const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
                   std::int64_t mr, std::int64_t nr) {
@@ -57,24 +59,31 @@ void micro_kernel(std::int64_t kc, const float* a, std::int64_t lda,
   }
 }
 
-struct MatView {
-  const float* data;
-  std::int64_t rows, cols, ld;
-  bool trans;  // when true, logical (i, j) reads data[j * ld + i]
-
-  float at(std::int64_t i, std::int64_t j) const {
-    return trans ? data[j * ld + i] : data[i * ld + j];
+// Row copies for a plain operand: dst[i][j] = src[i][j], rows x cols,
+// destination row stride ldd.
+void copy_block(const float* src, std::int64_t lds, std::int64_t rows,
+                std::int64_t cols, float* dst, std::int64_t ldd) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    std::copy(src + i * lds, src + i * lds + cols, dst + i * ldd);
   }
-};
+}
 
-// Packs logical block [r0, r0+mc) x [c0, c0+kc) of `m` into `dst`
-// row-major mc x kc. Packing makes the micro-kernel layout-oblivious and
-// turns transposed reads into sequential ones.
-void pack_block(const MatView& m, std::int64_t r0, std::int64_t mc,
-                std::int64_t c0, std::int64_t kc, float* dst) {
-  for (std::int64_t i = 0; i < mc; ++i) {
-    for (std::int64_t j = 0; j < kc; ++j) {
-      dst[i * kc + j] = m.at(r0 + i, c0 + j);
+// Cache-blocked transpose for a transposed operand: dst[i][j] =
+// src[j][i], rows x cols. 16 x 16 tiles keep both the strided source reads
+// and the destination writes inside a few cache lines each, where a plain
+// double loop walks a whole source column per destination row.
+void transpose_block(const float* src, std::int64_t lds, std::int64_t rows,
+                     std::int64_t cols, float* dst, std::int64_t ldd) {
+  constexpr std::int64_t kTile = 16;
+  for (std::int64_t i0 = 0; i0 < rows; i0 += kTile) {
+    const std::int64_t i1 = std::min(rows, i0 + kTile);
+    for (std::int64_t j0 = 0; j0 < cols; j0 += kTile) {
+      const std::int64_t j1 = std::min(cols, j0 + kTile);
+      for (std::int64_t i = i0; i < i1; ++i) {
+        for (std::int64_t j = j0; j < j1; ++j) {
+          dst[i * ldd + j] = src[j * lds + i];
+        }
+      }
     }
   }
 }
@@ -103,45 +112,61 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   }
   if (k <= 0 || alpha == 0.0f) return;
 
-  const MatView va{a, m, k, lda, trans_a};
-  const MatView vb{b, k, n, ldb, trans_b};
-
-  // Parallelise over row blocks of C; each task packs its own A/B panels.
-  // The panels are per-thread grow-once scratch: a serving loop calls
-  // sgemm once per float-path layer per forward, and those calls must not
-  // allocate (the engine's zero-allocation steady-state contract).
-  // Blocked for the caller's thread budget, not the whole machine: a
-  // serving worker on a 2-thread budget wants 4 fat row blocks, not the
-  // 32 slivers a pool-wide split would produce.
+  // Parallelise over row blocks of C; each task packs its own A panels
+  // (and B panels, when B is transposed). The panels are per-thread
+  // grow-once scratch: a serving loop calls sgemm once per float-path
+  // layer per forward, and those calls must not allocate (the engine's
+  // zero-allocation steady-state contract). Blocked for the caller's
+  // thread budget, not the whole machine: a serving worker on a 2-thread
+  // budget wants 4 fat row blocks, not the 32 slivers a pool-wide split
+  // would produce, and a one-thread budget runs up to kMc rows as one
+  // block so every B panel is walked once.
   const int threads = parallel_effective_threads();
-  const std::int64_t row_block = std::max<std::int64_t>(kMr, (m + threads * 2 - 1) / (threads * 2) / kMr * kMr);
+  const std::int64_t row_block =
+      threads == 1
+          ? std::min(kMc, (m + kMr - 1) / kMr * kMr)
+          : std::max<std::int64_t>(
+                kMr, (m + threads * 2 - 1) / (threads * 2) / kMr * kMr);
   parallel_for(0, (m + row_block - 1) / row_block, [&](std::int64_t tb, std::int64_t te) {
     thread_local std::vector<float> a_buf, b_buf;
     if (static_cast<std::int64_t>(a_buf.size()) < row_block * kKc) {
       a_buf.resize(static_cast<std::size_t>(row_block * kKc));
     }
-    if (static_cast<std::int64_t>(b_buf.size()) < kKc * kNc) {
+    if (trans_b && static_cast<std::int64_t>(b_buf.size()) < kKc * kNc) {
       b_buf.resize(static_cast<std::size_t>(kKc * kNc));
     }
     float* const a_pack = a_buf.data();
-    float* const b_pack = b_buf.data();
     for (std::int64_t t = tb; t < te; ++t) {
       const std::int64_t i0 = t * row_block;
       const std::int64_t mc = std::min(row_block, m - i0);
       for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
         const std::int64_t kc = std::min(kKc, k - p0);
-        pack_block(va, i0, mc, p0, kc, a_pack);
+        // op(A) block [i0, i0+mc) x [p0, p0+kc) -> a_pack, row-major mc x kc.
+        if (trans_a) {
+          transpose_block(a + p0 * lda + i0, lda, mc, kc, a_pack, kc);
+        } else {
+          copy_block(a + i0 * lda + p0, lda, mc, kc, a_pack, kc);
+        }
         if (alpha != 1.0f) {
           for (std::int64_t idx = 0; idx < mc * kc; ++idx) a_pack[idx] *= alpha;
         }
         for (std::int64_t j0 = 0; j0 < n; j0 += kNc) {
           const std::int64_t nc = std::min(kNc, n - j0);
-          pack_block(vb, p0, kc, j0, nc, b_pack);
+          // op(B) block [p0, p0+kc) x [j0, j0+nc): a plain B is read in
+          // place at its own row stride; a transposed one is packed
+          // row-major kc x nc first.
+          const float* b_panel = b + p0 * ldb + j0;
+          std::int64_t ldp = ldb;
+          if (trans_b) {
+            transpose_block(b + j0 * ldb + p0, ldb, kc, nc, b_buf.data(), nc);
+            b_panel = b_buf.data();
+            ldp = nc;
+          }
           for (std::int64_t jr = 0; jr < nc; jr += kNr) {
             const std::int64_t nr = std::min(kNr, nc - jr);
             for (std::int64_t ir = 0; ir < mc; ir += kMr) {
               const std::int64_t mr = std::min(kMr, mc - ir);
-              micro(kc, a_pack + ir * kc, kc, b_pack + jr, nc,
+              micro(kc, a_pack + ir * kc, kc, b_panel + jr, ldp,
                     c + (i0 + ir) * ldc + (j0 + jr), ldc, mr, nr);
             }
           }

@@ -9,6 +9,9 @@
 // The structure mirrors the integer GEMM (gemm_int8.h): one blocked driver,
 // detail::sgemm_blocked, owns the beta pre-scale, packing and the
 // parallel split; the per-tile micro-kernel is the only per-ISA piece.
+// The driver packs op(A) (row copies, or a cache-blocked transpose when A
+// is transposed, with alpha folded in) and packs B only when B is
+// transposed; a plain B is read in place at the caller's ldb.
 // sgemm_generic is that driver plus the portable micro-kernel, and the
 // SIMD micro-kernels live in src/backend/ behind the backend registry.
 #pragma once
@@ -49,8 +52,10 @@ inline constexpr std::int64_t kSgemmNr = 16;
 
 /// Internal: one register tile, C[0..mr) x [0..nr) += A_panel * B_panel
 /// (mr <= kSgemmMr, nr <= kSgemmNr). a holds mr rows of kc packed floats
-/// (row stride lda, alpha already folded in); b holds kc rows of packed
-/// floats (row stride ldb). For every element the kernel must start its
+/// (row stride lda, alpha already folded in); b holds kc rows of nr floats
+/// at row stride ldb — the driver's pack, or the caller's B in place, so
+/// the kernel must never read past column nr of a row (the last row may
+/// end its allocation). For every element the kernel must start its
 /// accumulator at +0.0f, add the products a[i][p] * b[p][j] in ascending p
 /// as a separate multiply then add (never a fused multiply-add), and add
 /// the accumulator into C once: that is the portable evaluation order, and
@@ -61,9 +66,11 @@ using SgemmMicroFn = void (*)(std::int64_t kc, const float* a,
                               std::int64_t mr, std::int64_t nr);
 
 /// Internal: the one cache-blocking driver every sgemm variant runs under —
-/// scales C by beta, then parallelises over row blocks of C, packing Kc x
-/// Nc panels of op(A) (alpha folded in) and op(B) per block and handing
-/// each register tile to `micro`.
+/// scales C by beta, then parallelises over row blocks of C (one block of
+/// up to 256 rows at a one-thread budget), packing Kc-deep panels of op(A)
+/// (alpha folded in) and, for a transposed B only, Kc x Nc panels of op(B)
+/// per block, and hands each register tile to `micro`. Neither the blocks nor the B
+/// layout change any element's evaluation order.
 void sgemm_blocked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                    std::int64_t k, float alpha, const float* a,
                    std::int64_t lda, const float* b, std::int64_t ldb,

@@ -161,13 +161,18 @@ float* Im2colWorkspace::ensure_f32(std::int64_t count) {
 }
 
 void col2im(const float* col, const ConvGeometry& g, float* im) {
+  col2im(col, g, im, g.out_h() * g.out_w());
+}
+
+void col2im(const float* col, const ConvGeometry& g, float* im,
+            std::int64_t col_stride) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < g.channels; ++c) {
     float* im_c = im + c * g.in_h * g.in_w;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* in = col + row * oh * ow;
+        const float* in = col + row * col_stride;
         for (std::int64_t y = 0; y < oh; ++y) {
           const std::int64_t iy = y * g.stride + kh - g.pad;
           if (iy < 0 || iy >= g.in_h) continue;

@@ -2,13 +2,23 @@
 //
 // Conv2d forward lowers each input image to a [C*kh*kw, out_h*out_w] patch
 // matrix so the convolution becomes one GEMM against the [out_c, C*kh*kw]
-// weight matrix; col2im scatters gradients back for the backward pass.
+// weight matrix; col2im scatters gradients back for the backward pass of
+// strided convolutions.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 namespace adq {
+
+/// Slab cap for batched im2col lowering (the integer engine's convs and
+/// nn::Conv2d): a conv chunk never materialises more than this many
+/// patch-matrix bytes at once, and always at least one image. Besides
+/// bounding transient memory for huge batches, the cap keeps the slab and
+/// its GEMM output inside L2 — one oversized chunk streams from L3 and costs
+/// more than the panel-packing amortization it buys (measured: a 2.4 MiB
+/// slab at batch 16 serves ~15% slower than four cache-resident chunks).
+inline constexpr std::int64_t kMaxSlabBytes = 768 << 10;
 
 struct ConvGeometry {
   std::int64_t channels = 0;
@@ -61,5 +71,11 @@ struct Im2colWorkspace {
 
 /// Transpose scatter: accumulates col back into im (im must be pre-zeroed).
 void col2im(const float* col, const ConvGeometry& g, float* im);
+
+/// Strided variant: patch row r is read from col + r * col_stride, so one
+/// image's column block of a batched [patch_size, B * out_h*out_w] slab
+/// scatters back on its own.
+void col2im(const float* col, const ConvGeometry& g, float* im,
+            std::int64_t col_stride);
 
 }  // namespace adq

@@ -13,6 +13,7 @@
 #include "core/ad_quantizer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "models/mobilenet.h"
 #include "models/vgg.h"
 #include "tensor/parallel.h"
 
@@ -115,22 +116,37 @@ struct TrainingRun {
   std::vector<std::vector<float>> params;
 };
 
-// Two Trainer::run_epoch on a BN-free VGG19 w0.125 (the paper's AD regime)
-// at the Table II(a) iteration-2 bits, every op on backend `bk`. Runs at a
-// one-thread budget: Conv2d::backward merges per-chunk weight gradients in
-// completion order, so only a serial run is reproducible bit for bit.
-TrainingRun train_two_epochs(const backend::Backend& bk) {
+enum class TrainNet { kVgg19, kMobileNetSmall };
+
+// Two Trainer::run_epoch, every op on backend `bk`, at a `threads` budget:
+// either a BN-free VGG19 w0.125 (the paper's AD regime) at the Table II(a)
+// iteration-2 bits, or MobileNet-small (depthwise + BN) at mixed bits.
+// Training sums every float in an order fixed by the layer shapes (Conv2d
+// reduces weight gradients chunk by chunk in chunk order, depthwise gives
+// each channel's gradient to one task), so the result may depend on neither.
+TrainingRun train_two_epochs(const backend::Backend& bk, int threads = 1,
+                             TrainNet net = TrainNet::kVgg19) {
   const backend::Backend* prev = backend::exchange_backend_override(&bk);
-  ScopedThreadBudget serial(1);
+  ScopedThreadBudget budget(threads);
   Rng rng(31);
   const data::TrainTestSplit split = tiny_data(4, 64, 32);
-  models::VggConfig mc;
-  mc.width_mult = 0.125;
-  mc.num_classes = 4;
-  mc.use_batchnorm = false;
-  auto model = models::build_vgg19(mc, rng);
-  model->apply_bit_policy(quant::BitWidthPolicy(
-      {16, 4, 5, 4, 3, 2, 2, 2, 3, 3, 3, 4, 3, 3, 3, 3, 16}));
+  std::unique_ptr<models::QuantizableModel> model;
+  if (net == TrainNet::kVgg19) {
+    models::VggConfig mc;
+    mc.width_mult = 0.125;
+    mc.num_classes = 4;
+    mc.use_batchnorm = false;
+    model = models::build_vgg19(mc, rng);
+    model->apply_bit_policy(quant::BitWidthPolicy(
+        {16, 4, 5, 4, 3, 2, 2, 2, 3, 3, 3, 4, 3, 3, 3, 3, 16}));
+  } else {
+    models::MobileNetConfig mc;
+    mc.width_mult = 0.5;
+    mc.num_classes = 4;
+    model = models::build_mobilenet_small(mc, rng);
+    model->apply_bit_policy(
+        quant::BitWidthPolicy({16, 4, 5, 4, 3, 3, 4, 2, 3, 4, 3, 16}));
+  }
   TrainerConfig cfg;
   cfg.batch_size = 32;
   cfg.lr = 3e-4f;
@@ -156,10 +172,27 @@ bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
+// Memcmp of everything two training runs produced.
+void expect_same_run(const TrainingRun& want, const TrainingRun& got) {
+  EXPECT_TRUE(bytes_equal(want.losses, got.losses));
+  EXPECT_TRUE(bytes_equal(want.accuracies, got.accuracies));
+  ASSERT_EQ(want.densities.size(), got.densities.size());
+  for (std::size_t e = 0; e < want.densities.size(); ++e) {
+    EXPECT_TRUE(bytes_equal(want.densities[e], got.densities[e]))
+        << "epoch " << e;
+  }
+  ASSERT_EQ(want.params.size(), got.params.size());
+  for (std::size_t i = 0; i < want.params.size(); ++i) {
+    EXPECT_TRUE(bytes_equal(want.params[i], got.params[i]))
+        << "parameter " << i;
+  }
+}
+
 // Training is bit-identical on every backend: the float GEMM, fake quant
 // and im2col a training step runs all keep the portable evaluation order,
 // so the paper-table benches read the same numbers whichever backend the
-// host resolves.
+// host resolves. (Serial here only to keep the backend the one variable;
+// BitIdenticalAcrossThreadCounts covers the thread budget.)
 TEST(Trainer, BitIdenticalAcrossBackends) {
   const TrainingRun want =
       train_two_epochs(*backend::find_backend("portable"));
@@ -168,19 +201,21 @@ TEST(Trainer, BitIdenticalAcrossBackends) {
   for (const backend::Backend* bk : backend::available_backends()) {
     if (std::strcmp(bk->name, "portable") == 0) continue;
     SCOPED_TRACE(bk->name);
-    const TrainingRun got = train_two_epochs(*bk);
-    EXPECT_TRUE(bytes_equal(want.losses, got.losses));
-    EXPECT_TRUE(bytes_equal(want.accuracies, got.accuracies));
-    ASSERT_EQ(want.densities.size(), got.densities.size());
-    for (std::size_t e = 0; e < want.densities.size(); ++e) {
-      EXPECT_TRUE(bytes_equal(want.densities[e], got.densities[e]))
-          << "epoch " << e;
-    }
-    ASSERT_EQ(want.params.size(), got.params.size());
-    for (std::size_t i = 0; i < want.params.size(); ++i) {
-      EXPECT_TRUE(bytes_equal(want.params[i], got.params[i]))
-          << "parameter " << i;
-    }
+    expect_same_run(want, train_two_epochs(*bk));
+  }
+}
+
+// Training is bit-identical at any thread budget: one thread and four
+// threads produce the same losses, accuracies, densities and parameters,
+// for the GEMM-lowered VGG and for MobileNet's depthwise + BN stack.
+TEST(Trainer, BitIdenticalAcrossThreadCounts) {
+  const backend::Backend& bk = backend::active();
+  for (const TrainNet net : {TrainNet::kVgg19, TrainNet::kMobileNetSmall}) {
+    SCOPED_TRACE(net == TrainNet::kVgg19 ? "vgg19" : "mobilenet_small");
+    const TrainingRun want = train_two_epochs(bk, 1, net);
+    ASSERT_EQ(want.losses.size(), 2u);
+    ASSERT_TRUE(std::isfinite(want.losses[1]));
+    expect_same_run(want, train_two_epochs(bk, 4, net));
   }
 }
 

@@ -3,7 +3,11 @@
 // (Gradient correctness is covered separately in test_nn_gradcheck.cpp.)
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -16,6 +20,8 @@
 #include "nn/relu.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -112,6 +118,149 @@ TEST(Conv2d, ActiveChannelBoundsChecked) {
   EXPECT_THROW(conv.set_active_out_channels(0), std::invalid_argument);
   EXPECT_THROW(conv.set_active_out_channels(5), std::invalid_argument);
   EXPECT_THROW(conv.set_active_in_channels(3), std::invalid_argument);
+}
+
+// Conv2d lowers a chunk of images into one patch slab and runs one GEMM per
+// chunk; stride-1 input gradients run as a convolution of the output
+// gradient with the flipped kernel. Over kernel 1/3, stride 1/2, pad 0/1,
+// batches 1, 3 and 33 (the sizes below put 18 to 27 images in a forward
+// chunk, so the last chunk of 33 is partial), bias on/off and a pruned
+// output channel:
+//   - forward is memcmp-equal to a per-image im2col + sgemm reference;
+//   - grad_x, the weight gradient and the bias gradient match a naive
+//     direct convolution in double within a float tolerance.
+TEST(Conv2d, BatchedLoweringMatchesReference) {
+  constexpr std::int64_t O = 4;
+  Rng rng(77);
+  int case_index = 0;
+  for (const std::int64_t k : {1, 3}) {
+    for (const std::int64_t stride : {1, 2}) {
+      constexpr std::int64_t C = 8;
+      const std::int64_t H = (k == 1 ? 32 : 12) * stride, W = H;
+      for (const std::int64_t pad : {0, 1}) {
+        for (const std::int64_t B : {1, 3, 33}) {
+          for (const bool bias : {false, true}) {
+            const bool pruned = (case_index++ % 2) == 1;
+            SCOPED_TRACE("k=" + std::to_string(k) + " stride=" +
+                         std::to_string(stride) + " pad=" +
+                         std::to_string(pad) + " B=" + std::to_string(B) +
+                         " bias=" + std::to_string(bias) +
+                         " pruned=" + std::to_string(pruned));
+            Conv2d conv(C, O, k, stride, pad, bias);
+            conv.set_quantization_enabled(false);
+            rng.fill_uniform(conv.weight().value, -1.0f, 1.0f);
+            if (bias) rng.fill_uniform(conv.bias()->value, -1.0f, 1.0f);
+            const std::int64_t live = pruned ? O - 1 : O;
+            conv.set_active_out_channels(live);
+            Tensor x(Shape{B, C, H, W});
+            rng.fill_uniform(x, -1.0f, 1.0f);
+            const Tensor y = conv.forward(x);
+
+            ConvGeometry g;
+            g.channels = C;
+            g.in_h = H;
+            g.in_w = W;
+            g.kernel_h = g.kernel_w = k;
+            g.stride = stride;
+            g.pad = pad;
+            const std::int64_t oh = g.out_h(), ow = g.out_w(), ohw = oh * ow;
+            const std::int64_t P = g.patch_size();
+            ASSERT_EQ(y.shape(), Shape({B, O, oh, ow}));
+
+            // Forward reference: one GEMM per image, then bias, then mask.
+            Tensor want(y.shape());
+            std::vector<float> col(static_cast<std::size_t>(P * ohw));
+            for (std::int64_t b = 0; b < B; ++b) {
+              im2col(x.data() + b * C * H * W, g, col.data());
+              float* out_b = want.data() + b * O * ohw;
+              sgemm(false, false, O, ohw, P, 1.0f, conv.weight().value.data(),
+                    P, col.data(), ohw, 0.0f, out_b, ohw);
+              for (std::int64_t o = 0; o < O; ++o) {
+                for (std::int64_t s = 0; s < ohw; ++s) {
+                  if (o >= live) {
+                    out_b[o * ohw + s] = 0.0f;
+                  } else if (bias) {
+                    out_b[o * ohw + s] += conv.bias()->value[o];
+                  }
+                }
+              }
+            }
+            EXPECT_EQ(std::memcmp(want.data(), y.data(),
+                                  static_cast<std::size_t>(y.numel()) *
+                                      sizeof(float)),
+                      0);
+
+            Tensor gy(y.shape());
+            rng.fill_uniform(gy, -1.0f, 1.0f);
+            const Tensor gx = conv.backward(gy);
+            ASSERT_EQ(gx.shape(), x.shape());
+
+            // Naive direct convolution in double: |got - want| must stay
+            // within a float-rounding bound of the sum of |terms|.
+            const std::int64_t kk = k * k;
+            std::vector<double> gx_ref(static_cast<std::size_t>(x.numel()));
+            std::vector<double> gx_abs(gx_ref.size());
+            std::vector<double> wg_ref(static_cast<std::size_t>(O * P));
+            std::vector<double> wg_abs(wg_ref.size());
+            std::vector<double> bg_ref(static_cast<std::size_t>(O));
+            for (std::int64_t b = 0; b < B; ++b) {
+              for (std::int64_t o = 0; o < live; ++o) {
+                for (std::int64_t oy = 0; oy < oh; ++oy) {
+                  for (std::int64_t ox = 0; ox < ow; ++ox) {
+                    const double gv = gy.at(b, o, oy, ox);
+                    bg_ref[o] += gv;
+                    for (std::int64_t c = 0; c < C; ++c) {
+                      for (std::int64_t kh = 0; kh < k; ++kh) {
+                        const std::int64_t iy = oy * stride + kh - pad;
+                        if (iy < 0 || iy >= H) continue;
+                        for (std::int64_t kw = 0; kw < k; ++kw) {
+                          const std::int64_t ix = ox * stride + kw - pad;
+                          if (ix < 0 || ix >= W) continue;
+                          const std::size_t wi = static_cast<std::size_t>(
+                              o * P + c * kk + kh * k + kw);
+                          const std::size_t xi = static_cast<std::size_t>(
+                              ((b * C + c) * H + iy) * W + ix);
+                          const double wv = conv.weight().value[wi];
+                          const double xv = x[xi];
+                          gx_ref[xi] += gv * wv;
+                          gx_abs[xi] += std::abs(gv * wv);
+                          wg_ref[wi] += gv * xv;
+                          wg_abs[wi] += std::abs(gv * xv);
+                        }
+                      }
+                    }
+                  }
+                }
+              }
+            }
+            constexpr double kRel = 1e-5;
+            int bad = 0;
+            for (std::size_t i = 0; i < gx_ref.size() && bad < 5; ++i) {
+              if (std::abs(gx[i] - gx_ref[i]) > kRel * gx_abs[i] + 1e-6) {
+                ADD_FAILURE() << "grad_x[" << i << "] = " << gx[i]
+                              << ", want " << gx_ref[i];
+                ++bad;
+              }
+            }
+            for (std::size_t i = 0; i < wg_ref.size() && bad < 5; ++i) {
+              const float got = conv.weight().grad[static_cast<std::int64_t>(i)];
+              if (std::abs(got - wg_ref[i]) > kRel * wg_abs[i] + 1e-6) {
+                ADD_FAILURE() << "weight grad[" << i << "] = " << got
+                              << ", want " << wg_ref[i];
+                ++bad;
+              }
+            }
+            if (bias) {
+              for (std::int64_t o = 0; o < O; ++o) {
+                EXPECT_NEAR(conv.bias()->grad[o], bg_ref[o],
+                            kRel * static_cast<double>(B * ohw) + 1e-6);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Linear, MatchesManualAffine) {

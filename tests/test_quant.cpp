@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "quant/bitwidth.h"
 #include "quant/fake_quantizer.h"
@@ -118,6 +120,75 @@ TEST_P(FakeQuantBits, Idempotent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Bits, FakeQuantBits, ::testing::Values(1, 2, 3, 4, 5, 8, 11, 16));
+
+// The std::nearbyint formula fake_quantize used to evaluate per element; its
+// 2^23 magic-number rounding must reproduce it byte for byte.
+float nearbyint_fake_quant(float x, float lo, float hi, int bits) {
+  if (bits >= 24 || hi <= lo) return x;
+  const float levels = static_cast<float>(max_code(bits));
+  const float scale = (hi - lo) / levels;
+  const float inv_scale = levels / (hi - lo);
+  const float code = std::nearbyint((std::clamp(x, lo, hi) - lo) * inv_scale);
+  return lo + code * scale;
+}
+
+// Fails (at most a few reports) unless fake_quantize(x, lo, hi, bits) is
+// bytewise the nearbyint reference.
+void expect_matches_nearbyint(const std::vector<float>& xs, float lo, float hi,
+                              int bits) {
+  Tensor x(Shape{static_cast<std::int64_t>(xs.size())});
+  std::copy(xs.begin(), xs.end(), x.data());
+  const Tensor got = fake_quantize(x, lo, hi, bits);
+  int reported = 0;
+  for (std::size_t i = 0; i < xs.size() && reported < 3; ++i) {
+    const float want = nearbyint_fake_quant(xs[i], lo, hi, bits);
+    const float have = got[static_cast<std::int64_t>(i)];
+    if (std::memcmp(&want, &have, sizeof(float)) != 0) {
+      ADD_FAILURE() << "bits=" << bits << " range [" << lo << ", " << hi
+                    << "] x=" << xs[i] << ": got " << have << ", want "
+                    << want;
+      ++reported;
+    }
+  }
+}
+
+TEST(FakeQuantize, MagicRoundingMatchesNearbyintBytewise) {
+  Rng rng(404);
+  for (int bits = 1; bits <= 23; ++bits) {
+    // Random inputs, some outside the range (clamped), random ranges.
+    for (int trial = 0; trial < 4; ++trial) {
+      const float lo = rng.uniform(-2.0f, 0.5f);
+      const float hi = lo + rng.uniform(1e-3f, 4.0f);
+      std::vector<float> xs(2048);
+      for (float& v : xs) v = rng.uniform(lo - 1.0f, hi + 1.0f);
+      expect_matches_nearbyint(xs, lo, hi, bits);
+    }
+    // Exact ties: on [0, levels] the scale is 1, so k + 0.5 sits halfway
+    // between two codes and must round to the even one.
+    const std::int64_t levels = max_code(bits);
+    std::vector<float> ties;
+    for (int i = 0; i < 512; ++i) {
+      ties.push_back(static_cast<float>(rng.uniform_int(0, levels - 1)) + 0.5f);
+    }
+    ties.push_back(0.5f);
+    ties.push_back(static_cast<float>(levels) - 0.5f);
+    expect_matches_nearbyint(ties, 0.0f, static_cast<float>(levels), bits);
+  }
+  // Signed zeros at and inside either end of the range.
+  const std::vector<float> zeros = {0.0f, -0.0f, 1.0f, -1.0f};
+  for (const int bits : {1, 2, 4, 8, 23}) {
+    expect_matches_nearbyint(zeros, 0.0f, 1.0f, bits);
+    expect_matches_nearbyint(zeros, -0.0f, 1.0f, bits);
+    expect_matches_nearbyint(zeros, -1.0f, 0.0f, bits);
+    expect_matches_nearbyint(zeros, -1.0f, -0.0f, bits);
+    expect_matches_nearbyint(zeros, -1.0f, 1.0f, bits);
+  }
+  // Degenerate ranges pass the input through unchanged.
+  const std::vector<float> xs = {-2.0f, -0.0f, 0.0f, 0.25f, 3.0f};
+  expect_matches_nearbyint(xs, 0.25f, 0.25f, 4);
+  expect_matches_nearbyint(xs, 1.0f, -1.0f, 4);
+  expect_matches_nearbyint(xs, -1.0f, 1.0f, 24);
+}
 
 TEST(QuantizeCodes, RoundTripThroughDequantize) {
   Rng rng(5);
