@@ -22,10 +22,10 @@
 // too, signed zeros included: served logits are byte-identical on every
 // backend (GoldenLogits), so a float kernel keeps the portable evaluation
 // order and is never contracted into FMA. The conformance harness checks
-// the two float ops with a SIMD variant — depthwise_int and sgemm (the
-// float GEMM under training and the engine's 16-bit float layers) —
-// bytewise; the other float ops share the portable paths on every backend
-// and are still checked against an NMSE bound.
+// the float ops with a SIMD variant — depthwise_int, sgemm (the float GEMM
+// under training and the engine's 16-bit float layers) and quantize_act's
+// observed range — bytewise; the other float ops share the portable paths
+// on every backend and are still checked against an NMSE bound.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +125,12 @@ using DepthwiseF32Fn = void (*)(const float* x, std::int64_t batch,
 
 /// Observes min/max of x[0..n), quantizes every element to a k-bit eqn-1
 /// code in `codes` (caller-sized), and returns the observed range. Must be
-/// bit-identical to the FakeQuantizer's observation + rounding.
+/// bit-identical to the FakeQuantizer's observation + rounding, with one
+/// signed-zero rule: a range end that is a zero is returned as +0.0
+/// (ActQuant::a_min is never -0.0). A reduction in any lane order finds
+/// the same min and max up to the sign of a zero tie, so the fold is what
+/// makes the ActQuant bytes the same on every backend; the codes, and the
+/// logits built from a_min, do not depend on that sign.
 using QuantizeActFn = ActQuant (*)(const float* x, std::int64_t n, int bits,
                                    std::uint8_t* codes);
 

@@ -194,7 +194,8 @@ CaseResult igemm_packed_case(std::uint64_t seed, const Backend& test,
 }
 
 // Draws a conv geometry with out_h/out_w >= 1. A 0.3 coin pins the fused
-// k3/s1/p1 shape so the specialised im2col template path is always covered.
+// k3/s1/p1 shape so the specialised im2col template path is always covered;
+// its maps span 1..34, and half of them are the engine's square 2..32 maps.
 ConvGeometry draw_geometry(Rng& rng, std::int64_t channels) {
   ConvGeometry g;
   g.channels = channels;
@@ -202,8 +203,13 @@ ConvGeometry draw_geometry(Rng& rng, std::int64_t channels) {
     g.kernel_h = g.kernel_w = 3;
     g.stride = 1;
     g.pad = 1;
-    g.in_h = rng.uniform_int(3, 14);
-    g.in_w = rng.uniform_int(3, 14);
+    if (rng.coin(0.5)) {
+      constexpr std::int64_t kMaps[] = {2, 4, 8, 16, 32};
+      g.in_h = g.in_w = kMaps[rng.uniform_int(0, 4)];
+    } else {
+      g.in_h = rng.uniform_int(1, 34);
+      g.in_w = rng.uniform_int(1, 34);
+    }
     return g;
   }
   constexpr std::int64_t kKernels[] = {1, 2, 3, 5};
@@ -390,20 +396,43 @@ CaseResult depthwise_f32_case(std::uint64_t seed, const Backend& test) {
 CaseResult quantize_act_case(std::uint64_t seed, const Backend& test) {
   Rng rng(seed);
   CaseResult r;
-  // Mix of empty, sub-SIMD-width, and large (multi-grain) extents; the
-  // 0.1 coin makes the tensor constant to hit the degenerate-range branch.
+  // Mix of empty, sub-SIMD-width, and large extents; up to 20000 crosses
+  // the encode's 4096 grain, so chunk tails of every width occur. The 0.1
+  // coin makes the tensor constant to hit the degenerate-range branch.
   const std::int64_t n =
-      rng.coin(0.1) ? rng.uniform_int(0, 15) : rng.uniform_int(16, 5000);
+      rng.coin(0.1) ? rng.uniform_int(0, 15) : rng.uniform_int(16, 20000);
   const int bits = draw_bits(rng);
   const bool constant = rng.coin(0.1);
+  // Specials: signed zeros (at index 0, which seeds every reduction lane,
+  // and elsewhere, so -0.0 and +0.0 can tie for a range end) and
+  // denormals. A ReLU output's minimum is such a tie.
+  const bool zeros = !constant && rng.coin(0.3);
+  const bool denormals = !constant && rng.coin(0.2);
   r.desc = "quantize_act n=" + std::to_string(n) +
-           " bits=" + std::to_string(bits) + (constant ? " constant" : "");
+           " bits=" + std::to_string(bits) + (constant ? " constant" : "") +
+           (zeros ? " signed-zeros" : "") + (denormals ? " denormals" : "");
 
   std::vector<float> x(static_cast<std::size_t>(std::max<std::int64_t>(n, 1)));
   if (constant) {
     std::fill(x.begin(), x.end(), rng.uniform(-2.0f, 2.0f));
   } else {
-    fill_floats(rng, x.data(), n, -3.0f, 3.0f);
+    // A zero tie needs a range that ends at zero: the zeros case fills a
+    // ReLU-like [0, 3], a [-3, 0], or the usual [-3, 3].
+    const std::int64_t side = zeros ? rng.uniform_int(0, 2) : 2;
+    fill_floats(rng, x.data(), n, side == 0 ? 0.0f : -3.0f,
+                side == 1 ? 0.0f : 3.0f);
+    const std::int64_t specials = n == 0 ? 0 : rng.uniform_int(1, 1 + n / 8);
+    for (std::int64_t k = 0; zeros && k < specials; ++k) {
+      const std::int64_t i =
+          k == 0 && rng.coin(0.5) ? 0 : rng.uniform_int(0, n - 1);
+      x[static_cast<std::size_t>(i)] = rng.coin(0.5) ? -0.0f : 0.0f;
+    }
+    for (std::int64_t k = 0; denormals && k < specials; ++k) {
+      const float tiny = std::numeric_limits<float>::denorm_min() *
+                         static_cast<float>(rng.uniform_int(1, 1 << 20));
+      x[static_cast<std::size_t>(rng.uniform_int(0, n - 1))] =
+          rng.coin(0.5) ? -tiny : tiny;
+    }
   }
 
   std::vector<std::uint8_t> codes_ref(

@@ -13,7 +13,7 @@
 //     into row bands that fit kWindowBytes, so the buffer never grows with
 //     the input.
 //   * Stride 2 deinterleaves each staged row into an even and an odd phase
-//     (one pshufb per 16 bytes); taps kx = 0/1/2 then read even[i],
+//     (one pshufb per 16 or 32 bytes); taps kx = 0/1/2 then read even[i],
 //     odd[i], even[i + 1], and the tap loop is the same as for stride 1.
 //   * Integer math: codes widen to int32 lanes, and each tap is one
 //     vpmaddwd of the code against its weight broadcast into the low int16
@@ -37,6 +37,8 @@
 
 #if defined(ADQ_AVX2_BUILD)
 #include <immintrin.h>
+
+#include "backend/bytes_avx2.h"
 #endif
 
 namespace adq {
@@ -45,41 +47,13 @@ namespace adq {
 
 namespace {
 
+using namespace avx2;
+
 constexpr std::int64_t kTileW = 128;         // output columns per tile
 constexpr std::int64_t kWindowBytes = 8192;  // staged input rows per band
 // A stride-2 row holds two phases of kTileW + 8 codes each, so the window
 // always fits at least one output row (3 input rows).
 static_assert(kWindowBytes >= 3 * 2 * (kTileW + 8), "window too small");
-
-__m128i load16(const std::uint8_t* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-void store16(std::uint8_t* p, __m128i v) {
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-}
-__m128i load8(const std::uint8_t* p) {
-  return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-}
-void store8(std::uint8_t* p, __m128i v) {
-  _mm_storel_epi64(reinterpret_cast<__m128i*>(p), v);
-}
-
-// Copies n bytes with (possibly overlapping) unaligned moves. Staged rows
-// are tens of bytes long, where a libc memcpy/memset call costs more than
-// the copy itself.
-void copy_bytes(std::uint8_t* dst, const std::uint8_t* src, std::int64_t n) {
-  if (n >= 16) {
-    for (std::int64_t i = 0; i + 16 < n; i += 16) {
-      store16(dst + i, load16(src + i));
-    }
-    store16(dst + n - 16, load16(src + n - 16));
-  } else if (n >= 8) {
-    store8(dst, load8(src));
-    store8(dst + n - 8, load8(src + n - 8));
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
-  }
-}
 
 // dst[i] = code at input column ix0 + i of `src` for i < n (n >= 16), and
 // zero_code where the column (or the whole row, src == nullptr) lies
@@ -87,8 +61,10 @@ void copy_bytes(std::uint8_t* dst, const std::uint8_t* src, std::int64_t n) {
 void stage_row(const std::uint8_t* src, std::int64_t w, std::int64_t ix0,
                std::int64_t n, std::uint8_t zero_code, std::uint8_t* dst) {
   const __m128i zc = _mm_set1_epi8(static_cast<char>(zero_code));
-  for (std::int64_t i = 0; i + 16 < n; i += 16) store16(dst + i, zc);
-  store16(dst + n - 16, zc);
+  for (std::int64_t i = 0; i + 16 < n; i += 16) {
+    Bytes<16>::store(dst + i, zc);
+  }
+  Bytes<16>::store(dst + n - 16, zc);
   const std::int64_t lo = std::max<std::int64_t>(ix0, 0);
   const std::int64_t hi = std::min(ix0 + n, w);
   if (src != nullptr && lo < hi) {
@@ -96,22 +72,9 @@ void stage_row(const std::uint8_t* src, std::int64_t w, std::int64_t ix0,
   }
 }
 
-// Splits the 2 * half codes of src into even[0, half) and odd[0, half).
-// half is a multiple of 8.
-void deinterleave(const std::uint8_t* src, std::int64_t half,
-                  std::uint8_t* even, std::uint8_t* odd) {
-  const __m128i perm =
-      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
-  for (std::int64_t i = 0; i < half; i += 8) {
-    const __m128i v = _mm_shuffle_epi8(load16(src + 2 * i), perm);
-    store8(even + i, v);
-    store8(odd + i, _mm_unpackhi_epi64(v, v));
-  }
-}
-
 // Eight codes widened to int32 lanes.
 __m256i load_codes(const std::uint8_t* p) {
-  return _mm256_cvtepu8_epi32(load8(p));
+  return _mm256_cvtepu8_epi32(Bytes<8>::load(p));
 }
 
 // Per-channel constants of the fused epilogue, broadcast once per plane.
@@ -154,7 +117,8 @@ void plane_3x3(const std::uint8_t* plane, std::int64_t h, std::int64_t w,
           stage_row(src, w, ix0, half, zero_code, row);
         } else {
           stage_row(src, w, ix0, 2 * half, zero_code, row_tmp);
-          deinterleave(row_tmp, half, row, row + half);
+          deinterleave_row(row_tmp, 2 * half, half, zero_code, row,
+                           row + half);
         }
       }
 

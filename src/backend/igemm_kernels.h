@@ -70,6 +70,22 @@ void sgemm_avx2(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                 const float* b, std::int64_t ldb, float beta, float* c,
                 std::int64_t ldc);
 
+/// AVX2 activation quantizer (backend::QuantizeActFn): a four-accumulator
+/// ymm range pass and a 32-wide encode in the portable op order.
+/// Bit-identical to the portable quantize_act (the signed-zero fold of
+/// act_grid included). Shared by the avx2 and vnni tables.
+backend::ActQuant quantize_act_avx2(const float* x, std::int64_t n, int bits,
+                                    std::uint8_t* codes);
+
+/// AVX2 u8 lowering (backend::Im2colU8Fn): plane copies for pointwise
+/// convs, in-register pshufb planes for tiny maps, and shifted loads from
+/// a staged, phase-split copy of the plane for the other stride-1/2
+/// shapes; anything else runs the portable op. Bit-identical to the
+/// portable im2col_u8 and never writes outside [0, ohw) of a patch row.
+/// Shared by the avx2 and vnni tables.
+void im2col_u8_avx2(const std::uint8_t* im, const ConvGeometry& g,
+                    std::uint8_t* col, std::int64_t ld, std::uint8_t pad);
+
 /// True when the running CPU can execute the AVX-512 VNNI kernel.
 bool igemm_vnni_available();
 

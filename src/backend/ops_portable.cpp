@@ -39,8 +39,7 @@ void im2col_f32_op(const float* im, const ConvGeometry& g, float* col,
 
 ActQuant quantize_act_op(const float* px0, std::int64_t n, int bits,
                          std::uint8_t* pc) {
-  ActQuant q;
-  if (n == 0) return q;
+  if (n == 0) return ActQuant{};
   // Fused single-pass min/max over four independent accumulator lanes:
   // std::min/max reductions cannot be auto-vectorised (NaN ordering), so
   // the lanes buy instruction-level parallelism instead of a second and
@@ -64,15 +63,14 @@ ActQuant quantize_act_op(const float* px0, std::int64_t n, int bits,
     lo = std::min(lo, px0[i4]);
     hi = std::max(hi, px0[i4]);
   }
-  q.a_min = lo;
+  const ActGrid grid = act_grid(lo, hi, bits);
+  lo = grid.q.a_min;
+  hi = grid.hi;
   if (hi <= lo) {  // constant tensor: every code 0, value = a_min
     std::fill(pc, pc + n, 0);
-    return q;
+    return grid.q;
   }
-
-  const float levels = static_cast<float>(quant::max_code(bits));
-  q.a_scale = (hi - lo) / levels;
-  const float inv = levels / (hi - lo);
+  const float inv = grid.inv;
   const float* px = px0;
   // Rounding via the 1.5 * 2^23 magic constant: adding it forces the
   // scaled value (in [0, 255]) to round to nearest-even into the low
@@ -112,9 +110,7 @@ ActQuant quantize_act_op(const float* px0, std::int64_t n, int bits,
       pc[i] = static_cast<std::uint8_t>(bits_t - magic_bits);
     }
   }, /*grain=*/4096);
-  const float zero = std::clamp(0.0f, lo, hi);
-  q.zero_code = static_cast<std::uint8_t>(std::nearbyint((zero - lo) * inv));
-  return q;
+  return grid.q;
 }
 
 void fake_quant_op(const float* x, std::int64_t n, int bits, float* out) {
@@ -351,6 +347,26 @@ const Backend& portable_backend() {
     return t;
   }();
   return b;
+}
+
+ActGrid act_grid(float lo, float hi, int bits) {
+  // x + 0.0f maps -0.0 to +0.0 and leaves every other value as it is.
+  // A SIMD reduction may keep either zero when -0.0 and +0.0 tie for a
+  // range end, so the fold is what makes the range a function of the data
+  // alone.
+  ActGrid grid;
+  grid.q.a_min = lo + 0.0f;
+  grid.hi = hi + 0.0f;
+  lo = grid.q.a_min;
+  hi = grid.hi;
+  if (hi <= lo) return grid;
+  const float levels = static_cast<float>(quant::max_code(bits));
+  grid.q.a_scale = (hi - lo) / levels;
+  grid.inv = levels / (hi - lo);
+  const float zero = std::clamp(0.0f, lo, hi);
+  grid.q.zero_code =
+      static_cast<std::uint8_t>(std::nearbyint((zero - lo) * grid.inv));
+  return grid;
 }
 
 }  // namespace adq::backend

@@ -15,4 +15,15 @@ namespace adq::backend {
 /// is the fallback of last resort and the conformance reference.
 const Backend& portable_backend();
 
+/// The eqn-1 grid a quantize_act observation of [lo, hi] encodes onto,
+/// shared by every backend so the observation cannot drift between them.
+/// A zero range end is folded to +0.0 first (see QuantizeActFn). For a
+/// constant range (hi <= lo) q.a_scale, q.zero_code and inv stay 0.
+struct ActGrid {
+  ActQuant q;         // a_min is the folded lo
+  float hi = 0.0f;    // the folded hi
+  float inv = 0.0f;   // levels / (hi - lo): the encode's scale
+};
+ActGrid act_grid(float lo, float hi, int bits);
+
 }  // namespace adq::backend

@@ -14,10 +14,10 @@ namespace {
 
 // Each SIMD tier starts from the portable table and overrides the slots it
 // has a vector kernel for; everything else stays portable. Both avx2 and
-// vnni override igemm, igemm_w4, igemm_w2, depthwise_int, act_pack,
-// act_unpack and sgemm (vnni with its own integer GEMMs, and the AVX2
-// depthwise, pack/unpack and float GEMM kernels). A newly overridden slot
-// is covered by the conformance harness automatically.
+// vnni override igemm, igemm_w4, igemm_w2, im2col_u8, depthwise_int,
+// quantize_act, act_pack, act_unpack and sgemm (vnni with its own integer
+// GEMMs, and the AVX2 kernels for the rest). A newly overridden slot is
+// covered by the conformance harness automatically.
 const Backend& avx2_backend() {
   static const Backend b = [] {
     Backend t = portable_backend();
@@ -26,7 +26,9 @@ const Backend& avx2_backend() {
     t.igemm = &igemm_u8_avx2;
     t.igemm_w4 = &igemm_u8w4_avx2;
     t.igemm_w2 = &igemm_u8w2_avx2;
+    t.im2col_u8 = &im2col_u8_avx2;
     t.depthwise_int = &depthwise_int_avx2;
+    t.quantize_act = &quantize_act_avx2;
     t.act_pack = &act_pack_avx2;
     t.act_unpack = &act_unpack_avx2;
     t.sgemm = &sgemm_avx2;
@@ -43,10 +45,12 @@ const Backend& vnni_backend() {
     t.igemm = &igemm_u8_vnni;
     t.igemm_w4 = &igemm_u8w4_vnni;
     t.igemm_w2 = &igemm_u8w2_vnni;
-    // The AVX2 depthwise, activation pack/unpack and float GEMM kernels
-    // are a strict subset of the VNNI ISA, so the VNNI tier reuses them
-    // rather than duplicating the kernels.
+    // The AVX2 lowering, depthwise, activation quantize/pack/unpack and
+    // float GEMM kernels are a strict subset of the VNNI ISA, so the VNNI
+    // tier reuses them rather than duplicating the kernels.
+    t.im2col_u8 = &im2col_u8_avx2;
     t.depthwise_int = &depthwise_int_avx2;
+    t.quantize_act = &quantize_act_avx2;
     t.act_pack = &act_pack_avx2;
     t.act_unpack = &act_unpack_avx2;
     t.sgemm = &sgemm_avx2;

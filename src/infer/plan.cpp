@@ -23,7 +23,7 @@ void quantize_weights(GemmLayerPlan& l, const Tensor& w, bool transpose) {
   const std::int64_t count = w.numel();
   const std::int64_t out = l.out_channels;
   const std::int64_t inner = count / out;  // patch (conv) or fan-in (linear)
-  const float lo = min_value(w), hi = max_value(w);
+  const auto [lo, hi] = min_max(w);
   l.w_min = lo;
   l.cell_bits = cell_bits_for(l.bits);
   l.w_code_sums.assign(static_cast<std::size_t>(out), 0);

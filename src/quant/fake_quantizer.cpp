@@ -15,8 +15,7 @@ void FakeQuantizer::set_bits(int bits) {
 }
 
 void FakeQuantizer::observe(const Tensor& x) {
-  const float lo = min_value(x);
-  const float hi = max_value(x);
+  const auto [lo, hi] = min_max(x);
   if (mode_ == RangeMode::kPerBatch || !seen_) {
     range_min_ = lo;
     range_max_ = hi;

@@ -36,7 +36,8 @@ float fake_quantize_value(float x, float x_min, float x_max, int bits) {
 
 Tensor fake_quantize(const Tensor& x, int bits) {
   if (x.numel() == 0) return x;
-  return fake_quantize(x, min_value(x), max_value(x), bits);
+  const auto [lo, hi] = min_max(x);
+  return fake_quantize(x, lo, hi, bits);
 }
 
 namespace {
@@ -82,13 +83,8 @@ Tensor fake_quantize(const Tensor& x, float x_min, float x_max, int bits) {
 
 void fake_quantize_into(const float* x, std::int64_t n, int bits, float* out) {
   if (n == 0) return;
-  // Same observation fake_quantize(Tensor, bits) makes via min_value /
-  // max_value: a plain sequential reduction.
-  float lo = x[0], hi = x[0];
-  for (std::int64_t i = 1; i < n; ++i) {
-    lo = std::min(lo, x[i]);
-    hi = std::max(hi, x[i]);
-  }
+  // The observation fake_quantize(Tensor, bits) makes.
+  const auto [lo, hi] = min_max(x, n);
   fake_quantize_buf(x, n, lo, hi, bits, out);
 }
 

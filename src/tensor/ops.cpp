@@ -114,6 +114,20 @@ float max_value(const Tensor& x) {
   return *std::max_element(x.data(), x.data() + x.numel());
 }
 
+std::pair<float, float> min_max(const float* x, std::int64_t n) {
+  float lo = x[0], hi = x[0];
+  for (std::int64_t i = 1; i < n; ++i) {
+    lo = std::min(lo, x[i]);
+    hi = std::max(hi, x[i]);
+  }
+  return {lo, hi};
+}
+
+std::pair<float, float> min_max(const Tensor& x) {
+  if (x.numel() == 0) throw std::invalid_argument("min_max: empty tensor");
+  return min_max(x.data(), x.numel());
+}
+
 std::vector<std::int64_t> argmax_rows(const Tensor& x) {
   if (x.shape().rank() != 2) {
     throw std::invalid_argument("argmax_rows: tensor must be rank 2");

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "tensor/tensor.h"
 
@@ -48,6 +49,14 @@ float max_abs(const Tensor& x);
 /// Min / max over all elements; throws on empty tensors.
 float min_value(const Tensor& x);
 float max_value(const Tensor& x);
+
+/// {min, max} of x[0..n), n >= 1, in one sequential pass: the first
+/// smallest and the first largest element, so each result is bit-identical
+/// to min_value / max_value (signed zeros and NaN included).
+std::pair<float, float> min_max(const float* x, std::int64_t n);
+
+/// Tensor form of min_max; throws on empty tensors.
+std::pair<float, float> min_max(const Tensor& x);
 
 /// Index of the maximum element along the last axis of a rank-2 tensor,
 /// one result per row.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -674,6 +675,26 @@ TEST(Ops, MinMax) {
   EXPECT_EQ(min_value(x), -5.0f);
   EXPECT_EQ(max_value(x), 3.0f);
   EXPECT_EQ(max_abs(x), 5.0f);
+}
+
+// The fused pass must pick the same element as min_value / max_value —
+// the first of equal ones, so a -0.0 / +0.0 tie keeps whichever came first.
+TEST(Ops, FusedMinMaxMatchesSeparatePasses) {
+  const std::vector<std::vector<float>> cases = {
+      {1.0f, -5.0f, 2.0f, 3.0f},
+      {-0.0f, 0.0f, 1.0f, 0.0f},
+      {0.0f, -0.0f, -1.0f, -0.0f},
+      {2.0f},
+      {std::nanf(""), 1.0f, -1.0f},
+      {1.0f, std::nanf(""), -1.0f}};
+  for (const auto& v : cases) {
+    const Tensor x(Shape{static_cast<std::int64_t>(v.size())}, v);
+    const auto [lo, hi] = min_max(x);
+    const float lo_ref = min_value(x), hi_ref = max_value(x);
+    EXPECT_EQ(std::memcmp(&lo, &lo_ref, sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(&hi, &hi_ref, sizeof(float)), 0);
+  }
+  EXPECT_THROW(min_max(Tensor(Shape{0})), std::invalid_argument);
 }
 
 TEST(Ops, ArgmaxRows) {
