@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "backend/registry.h"
 #include "infer/engine.h"
 #include "infer/plan.h"
+#include "infer/plan_io.h"
 #include "models/mobilenet.h"
 #include "models/resnet.h"
 #include "models/vgg.h"
@@ -666,7 +669,120 @@ void apply_bit_setting(models::QuantizableModel& model, const char* setting) {
     model.apply_bit_policy(policy);
     return;
   }
+  // "int16" is the models' untouched build-time policy: every unit at 16
+  // bits, so every layer (and every residual skip quantizer) runs in float.
+  if (std::strcmp(setting, "int16") == 0) return;
   set_uniform_bits(model, std::atoi(setting + 3));  // "intN"
+}
+
+// Frozen golden logits: tests/fixtures/golden_logits.txt holds one line per
+// case, `model setting b<batch> <plan_fingerprint hex> <logits hex>`, and
+// every backend runnable on this host must reproduce each line's logits bit
+// for bit. The fingerprint column tells two failures apart: a plan built
+// differently (another toolchain's normal_distribution, a compiler change)
+// versus an engine that computes different logits from the same plan. A
+// matching-logits line whose plan bytes moved is reported, not failed: the
+// plan may legitimately change shape (op order, slot layout) while the
+// served logits stay put. On any mismatch the test prints the replacement
+// line, so a deliberate re-freeze is a copy into the file.
+struct FixtureLine {
+  std::string fingerprint;
+  std::string logits;
+};
+
+std::map<std::string, FixtureLine> read_fixture(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::map<std::string, FixtureLine> lines;
+  std::string model, setting, batch;
+  FixtureLine line;
+  while (in >> model >> setting >> batch >> line.fingerprint >> line.logits) {
+    const std::string key = model + " " + setting + " " + batch;
+    EXPECT_TRUE(lines.emplace(key, line).second) << "duplicate case " << key;
+  }
+  EXPECT_TRUE(in.eof()) << path << ": malformed line after "
+                        << lines.size() << " cases";
+  return lines;
+}
+
+Tensor first_rows(const Tensor& x, std::int64_t rows) {
+  const std::int64_t per_row = x.numel() / x.shape().dim(0);
+  Tensor out(x.shape().with_dim(0, rows));
+  std::memcpy(out.data(), x.data(),
+              static_cast<std::size_t>(rows * per_row) * sizeof(float));
+  return out;
+}
+
+TEST(GoldenLogits, MatchFrozenFixturesOnEveryBackend) {
+  struct Case {
+    GoldenModel model;
+    const char* setting;
+  };
+  std::vector<Case> cases;
+  const GoldenModel kModels[] = {
+      {"vgg19", 101}, {"resnet18", 102}, {"mobilenet_small", 103}};
+  for (const GoldenModel& gm : kModels) {
+    for (const char* setting : {"int8", "int4", "int2", "mixed"}) {
+      cases.push_back({gm, setting});
+    }
+  }
+  // Float residual skip quantizers (bits above the integer ceiling) only
+  // occur in a wide-bit ResNet.
+  cases.push_back({{"resnet18", 102}, "int16"});
+
+  const std::string path =
+      std::string(ADQ_TEST_FIXTURE_DIR) + "/golden_logits.txt";
+  const std::map<std::string, FixtureLine> fixture = read_fixture(path);
+  std::size_t checked = 0;
+  for (const Case& c : cases) {
+    Rng rng(c.model.seed);
+    auto model = build_golden_model(c.model.name, rng);
+    apply_bit_setting(*model, c.setting);
+    model->set_training(false);
+    const Tensor x4 = golden_input(c.model.name, rng);
+    const InferencePlan plan = compile(*model);
+    char fp[17];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(plan_fingerprint(plan)));
+
+    for (const std::int64_t batch : {std::int64_t{4}, std::int64_t{1}}) {
+      const Tensor x = batch == 4 ? x4 : first_rows(x4, batch);
+      const std::string key = std::string(c.model.name) + " " + c.setting +
+                              " b" + std::to_string(batch);
+      const auto it = fixture.find(key);
+      for (const backend::Backend* bk : backend::available_backends()) {
+        const ScopedBackend scope(bk);
+        const IntInferenceEngine engine(plan);
+        const std::string hex = logits_hex(engine.forward(x));
+        const std::string replacement = key + " " + fp + " " + hex;
+        if (it == fixture.end()) {
+          ADD_FAILURE() << key << ": no fixture line; add\n" << replacement;
+          break;
+        }
+        const bool same_plan = it->second.fingerprint == fp;
+        if (hex != it->second.logits) {
+          ADD_FAILURE()
+              << key << " on " << bk->name << ": logits differ from the fixture. "
+              << (same_plan
+                      ? "The plan is byte-identical, so the engine changed "
+                        "the logits."
+                      : "The plan fingerprint differs too (fixture " +
+                            it->second.fingerprint +
+                            "): the model or plan was built differently.")
+              << " Replacement line:\n"
+              << replacement;
+        } else if (!same_plan) {
+          std::printf("[ note ] %s on %s: logits match, plan fingerprint "
+                      "moved %s -> %s\n",
+                      key.c_str(), bk->name, it->second.fingerprint.c_str(),
+                      fp);
+        }
+      }
+      checked += it != fixture.end();
+    }
+  }
+  EXPECT_EQ(checked, fixture.size())
+      << path << " holds lines for cases this test no longer runs";
 }
 
 TEST(GoldenLogits, PackedMatchesUnpackedAcrossEveryBackend) {
