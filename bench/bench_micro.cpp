@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -118,10 +117,7 @@ void BM_DensityObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityObserve);
 
-// Arena vs malloc execution of the whole compiled int8 VGG19 forward: the
-// same engine, same kernels, same input — only where activations live
-// differs (planned per-thread slots vs a fresh heap tensor per op). The
-// gap is the price of allocator traffic + cold pages on the hot path.
+// The whole compiled int8 VGG19 forward on the slot-based arena executor.
 const infer::IntInferenceEngine& int8_vgg_engine() {
   static const infer::IntInferenceEngine* engine = [] {
     Rng rng(8);
@@ -138,31 +134,20 @@ const infer::IntInferenceEngine& int8_vgg_engine() {
   return *engine;
 }
 
-void int_forward_bench(benchmark::State& state, const char* arena_env) {
+void BM_IntForwardArena(benchmark::State& state) {
   const infer::IntInferenceEngine& engine = int8_vgg_engine();
   const std::int64_t batch = state.range(0);
   Rng rng(9);
   Tensor x(Shape{batch, 3, 32, 32});
   rng.fill_normal(x, 0.0f, 1.0f);
-  setenv("ADQ_ARENA", arena_env, 1);
   Tensor out;
   for (auto _ : state) {
     engine.forward_into(x, out);
     benchmark::DoNotOptimize(out.data());
   }
-  unsetenv("ADQ_ARENA");
   state.SetItemsProcessed(state.iterations() * batch);
 }
-
-void BM_IntForwardArena(benchmark::State& state) {
-  int_forward_bench(state, "1");
-}
 BENCHMARK(BM_IntForwardArena)->Arg(1)->Arg(8);
-
-void BM_IntForwardMalloc(benchmark::State& state) {
-  int_forward_bench(state, "0");
-}
-BENCHMARK(BM_IntForwardMalloc)->Arg(1)->Arg(8);
 
 void BM_PimDotProduct(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <thread>
@@ -171,46 +170,52 @@ int main(int argc, char** argv) {
               "batches: %zu/%zu\n",
               agree, done.size());
 
-  // 4. Arena/heap serving equivalence: serve the same deterministic
-  //    request stream once on the slot-based arena executor (ADQ_ARENA=1,
-  //    forced, so a pre-set ADQ_ARENA=0 cannot make the check vacuous) and
-  //    once on the heap fallback (ADQ_ARENA=0). One producer + a
-  //    full-batch window makes batch composition identical, so every
-  //    served logit must match BIT for bit — the demo exits nonzero
-  //    otherwise. The caller's ADQ_ARENA value is restored afterwards.
-  const char* prior_arena_env = std::getenv("ADQ_ARENA");
-  const std::string prior_arena =
-      prior_arena_env != nullptr ? prior_arena_env : "";
-  auto serve_logits = [&](const char* arena_env) {
-    setenv("ADQ_ARENA", arena_env, 1);
-    serve::ServerConfig dcfg;
-    dcfg.sample_shape = Shape{3, 32, 32};
-    dcfg.max_batch = 16;
-    dcfg.max_wait_us = 200'000;  // full batches: submit outruns the window
-    dcfg.workers = 1;
+  // 4. Served logits vs direct execution: serve a deterministic request
+  //    stream (one producer, a full-batch window) and recompute every
+  //    served batch — reconstructed from request ids and batch sizes as in
+  //    step 3 — with a direct engine.forward on the same stacked samples.
+  //    Every served logit must match BIT for bit — the demo exits nonzero
+  //    otherwise.
+  serve::ServerConfig dcfg;
+  dcfg.sample_shape = Shape{3, 32, 32};
+  dcfg.max_batch = 16;
+  dcfg.max_wait_us = 200'000;  // full batches: submit outruns the window
+  dcfg.workers = 1;
+  std::vector<serve::InferenceResult> served;
+  {
     serve::InferenceServer dserver(engine, dcfg);
     std::vector<std::future<serve::InferenceResult>> futs;
-    for (std::size_t i = 0; i < 64; ++i) futs.push_back(dserver.submit(samples[i]));
-    std::vector<Tensor> logits;
-    for (auto& f : futs) logits.push_back(f.get().logits);
-    return logits;
-  };
-  const std::vector<Tensor> arena_logits = serve_logits("1");
-  const std::vector<Tensor> heap_logits = serve_logits("0");
-  if (prior_arena_env != nullptr) {
-    setenv("ADQ_ARENA", prior_arena.c_str(), 1);
-  } else {
-    unsetenv("ADQ_ARENA");
-  }
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < arena_logits.size(); ++i) {
-    for (std::int64_t j = 0; j < arena_logits[i].numel(); ++j) {
-      mismatches += arena_logits[i][j] != heap_logits[i][j];
+    for (std::size_t i = 0; i < 64 && i < samples.size(); ++i) {
+      futs.push_back(dserver.submit(samples[i]));
     }
+    for (auto& f : futs) served.push_back(f.get());
   }
-  std::printf("arena vs ADQ_ARENA=0 serving: %zu logit mismatches across "
-              "%zu requests (must be 0)\n",
-              mismatches, arena_logits.size());
+  // One producer: ids ascend in submit order, i.e. in sample order.
+  std::vector<std::size_t> order(served.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return served[a].id < served[b].id;
+  });
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < order.size();) {
+    const std::size_t bs = std::clamp<std::size_t>(
+        static_cast<std::size_t>(served[order[i]].batch_size), 1,
+        order.size() - i);
+    std::vector<const Tensor*> batch;
+    for (std::size_t j = i; j < i + bs; ++j) batch.push_back(&samples[order[j]]);
+    const Tensor direct = engine.forward(stack_samples(batch));
+    for (std::size_t j = 0; j < bs; ++j) {
+      const Tensor& got = served[order[i + j]].logits;
+      const std::int64_t classes = got.numel();
+      for (std::int64_t k = 0; k < classes; ++k) {
+        mismatches += got[k] != direct[static_cast<std::int64_t>(j) * classes + k];
+      }
+    }
+    i += bs;
+  }
+  std::printf("served vs direct engine.forward on the same batches: %zu logit "
+              "mismatches across %zu requests (must be 0)\n",
+              mismatches, served.size());
   if (mismatches != 0) return 1;
   return 0;
 }

@@ -103,22 +103,7 @@ const Backend* find_backend(const char* name) {
   return nullptr;
 }
 
-const Backend& resolve_backends_env(const char* adq_backend,
-                                    const char* adq_simd) {
-  const char* requested = adq_backend;
-  if (requested == nullptr && adq_simd != nullptr) {
-    // Legacy spelling: ADQ_SIMD capped the igemm dispatch before the
-    // registry existed. Map its vocabulary onto backend names so old
-    // invocations keep their meaning — but validate just as strictly.
-    if (std::strcmp(adq_simd, "generic") == 0) {
-      requested = "portable";
-    } else if (find_backend(adq_simd) != nullptr) {
-      requested = adq_simd;
-    } else {
-      fail_selection(std::string("unknown ADQ_SIMD value '") + adq_simd +
-                     "' (legacy alias: generic -> portable)");
-    }
-  }
+const Backend& resolve_backends_env(const char* requested) {
   if (requested != nullptr) {
     const Backend* b = find_backend(requested);
     if (b == nullptr) {
@@ -144,8 +129,7 @@ const Backend& active() {
   // Cached on first successful resolve; a throwing resolve (bad pin) is NOT
   // cached, so every call keeps failing loudly rather than latching a
   // half-initialised state.
-  static const Backend& b =
-      resolve_backends_env(std::getenv("ADQ_BACKEND"), std::getenv("ADQ_SIMD"));
+  static const Backend& b = resolve_backends_env(std::getenv("ADQ_BACKEND"));
   return b;
 }
 

@@ -5,9 +5,7 @@
 // backends stay listed even when the host cannot run them; error messages
 // and the conformance harness want the full roster.
 //
-// Selection: ADQ_BACKEND=<name> pins a backend end to end (the legacy
-// ADQ_SIMD=generic|avx2 spelling still works, mapped onto registry names).
-// Unknown or unavailable names fail fast with the list of registered
+// Selection: ADQ_BACKEND=<name> pins a backend end to end. Unknown or unavailable names fail fast with the list of registered
 // backends — a typo must never silently fall back to portable.
 #pragma once
 
@@ -28,17 +26,14 @@ std::vector<const Backend*> available_backends();
 const Backend* find_backend(const char* name);
 
 /// Pure selection logic, exposed for tests: resolves the would-be active
-/// backend from explicit env values (either may be null = unset).
-/// ADQ_BACKEND takes precedence over ADQ_SIMD; with neither set, returns
-/// the best available backend. Throws std::runtime_error naming the
+/// backend from an explicit ADQ_BACKEND value (null = unset, which returns
+/// the best available backend). Throws std::runtime_error naming the
 /// offending value and listing every registered backend (with host
-/// availability) for an unknown name, an unavailable backend, or an
-/// unrecognised legacy ADQ_SIMD value.
-const Backend& resolve_backends_env(const char* adq_backend,
-                                    const char* adq_simd);
+/// availability) for an unknown name or an unavailable backend.
+const Backend& resolve_backends_env(const char* adq_backend);
 
 /// The process-wide active backend: resolve_backends_env over the real
-/// ADQ_BACKEND / ADQ_SIMD environment, resolved once on first call and
+/// ADQ_BACKEND environment variable, resolved once on first call and
 /// cached. Throws like resolve_backends_env on a bad pin — constructing an
 /// engine therefore fails fast at startup instead of silently computing on
 /// the wrong kernels.

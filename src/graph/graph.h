@@ -68,8 +68,8 @@ struct ValueType {
 /// Activation-memory annotations for one value, filled by plan_memory().
 /// Lifetimes are positions in the execution schedule (see
 /// execution_schedule() in graph/passes.h), NOT topological order: the
-/// executor materialises a residual skip quantizer lazily (just before the
-/// add), and liveness must describe what the executor actually does.
+/// executor materialises a residual downsample conv just before the add,
+/// and liveness must describe what the executor actually does.
 struct ValueMem {
   std::int64_t bytes = 0;    // per-sample storage bytes of this value
                              // (float words, or packed codes when act_bits)

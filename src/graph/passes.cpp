@@ -298,28 +298,6 @@ bool eliminate_dead_nodes(Graph& g) {
   return changed;
 }
 
-ActStorageOptions act_storage_from_env() {
-  ActStorageOptions opts;
-  const char* env = std::getenv("ADQ_ACT_BITS");
-  if (env == nullptr || *env == '\0') return opts;
-  const std::string v(env);
-  if (v == "on") return opts;
-  if (v == "off") {
-    opts.mode = ActStorageOptions::Mode::kOff;
-    return opts;
-  }
-  char* end = nullptr;
-  const long k = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || !(k == 1 || k == 2 || k == 4 || k == 8)) {
-    throw std::invalid_argument(
-        "graph: ADQ_ACT_BITS='" + v +
-        "' (expected on, off, or a cell width in {1, 2, 4, 8} to pin)");
-  }
-  opts.mode = ActStorageOptions::Mode::kPin;
-  opts.pin_bits = static_cast<int>(k);
-  return opts;
-}
-
 namespace {
 
 // Nodes that actually read `id`'s bytes, looking through pure flatten
@@ -336,12 +314,8 @@ void effective_consumers(const Graph& g, int id, std::vector<int>& out) {
 }
 
 int storage_cell(const ActStorageOptions& opts, int qbits, double density) {
-  const int natural = cell_bits_for(qbits);
-  if (opts.mode == ActStorageOptions::Mode::kPin) {
-    // Pinned cells widen where the grid needs more bits — codes must fit.
-    return std::max(natural, opts.pin_bits);
-  }
-  return ad::choose_act_cell(natural, density, opts.dense_threshold);
+  return ad::choose_act_cell(cell_bits_for(qbits), density,
+                             opts.dense_threshold);
 }
 
 }  // namespace
@@ -497,10 +471,9 @@ namespace {
 
 // Recursive mirror of the op emission in infer::lower_to_plan: appends the
 // ids of every node producing a value, in the order the executor
-// materialises them. The skip quantizer and downsample conv of a residual
-// diamond land AFTER the main chain — the executor defers them to just
-// before the add so the quantize can run in place once the main branch is
-// done reading the fork.
+// materialises them. A residual diamond runs its skip quantizer right
+// after the fork (into its own slot), then the main chain, then the
+// downsample conv just before the add.
 void schedule_value(const Graph& g, int id, std::vector<int>& order) {
   const Node& n = g.at(id);
   switch (n.kind) {
@@ -510,16 +483,8 @@ void schedule_value(const Graph& g, int id, std::vector<int>& order) {
     case NodeKind::kAdd: {
       const ResidualParts parts = decompose_residual(g, id);
       schedule_value(g, parts.fork, order);
-      // A packed skip quantizer cannot rewrite the float fork slot in
-      // place, so it runs eagerly into its own compressed slot — the fork
-      // then dies as soon as the main branch has read it, instead of
-      // staying live across the whole block. Float skip quantizers keep
-      // the deferred order (in-place snap once the main branch is done).
-      const bool packed_skip =
-          parts.quantize >= 0 && g.at(parts.quantize).mem.act_bits > 0;
-      if (packed_skip) order.push_back(parts.quantize);
+      if (parts.quantize >= 0) order.push_back(parts.quantize);
       for (int m : parts.main_chain) order.push_back(m);
-      if (parts.quantize >= 0 && !packed_skip) order.push_back(parts.quantize);
       if (parts.downsample >= 0) order.push_back(parts.downsample);
       order.push_back(id);
       return;
@@ -555,8 +520,6 @@ std::vector<int> execution_schedule(const Graph& g) {
 namespace {
 
 std::int64_t plan_memory_impl(Graph& g, const ActStorageOptions& opts) {
-  // Storage assignment first — the execution schedule depends on it (a
-  // packed skip quantizer runs eagerly, see schedule_value).
   assign_act_bits(g, opts);
   const std::vector<int> schedule = execution_schedule(g);
   std::vector<int> pos(static_cast<std::size_t>(g.size()), -1);
@@ -714,9 +677,8 @@ std::int64_t plan_memory_impl(Graph& g, const ActStorageOptions& opts) {
 std::int64_t plan_memory(Graph& g, const ActStorageOptions& opts) {
   // Pack the float-storage baseline first (reported as arena_bytes_u8 —
   // what the arena would cost with compression off), then the real run,
-  // whose annotations stick. Both runs share lifetimes, tie-breaks and
-  // alignment, so the pair is deterministic and the off mode is
-  // byte-identical to the pre-compression planner.
+  // whose annotations stick. Both runs share the schedule, tie-breaks and
+  // alignment, so the pair is deterministic.
   ActStorageOptions off = opts;
   off.mode = ActStorageOptions::Mode::kOff;
   const std::int64_t u8 = plan_memory_impl(g, off);
@@ -728,10 +690,6 @@ std::int64_t plan_memory(Graph& g, const ActStorageOptions& opts) {
   g.set_arena_bytes_u8(u8);
   maybe_dump(g, 7, "memplan");
   return bytes;
-}
-
-std::int64_t plan_memory(Graph& g) {
-  return plan_memory(g, act_storage_from_env());
 }
 
 }  // namespace adq::graph

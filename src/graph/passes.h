@@ -77,46 +77,33 @@ ResidualParts decompose_residual(const Graph& g, int add_id);
 
 /// The order the slot-based executor materialises values, mirroring
 /// infer::lower_to_plan's op emission: straight-line chains in producer
-/// order; a residual diamond as fork, main branch, then the skip chain
-/// (quantize, downsample) lazily just before the add — EXCEPT when the
-/// skip quantizer stores packed codes (mem.act_bits > 0): a packed
-/// quantizer cannot rewrite the float fork slot in place, so it runs
-/// eagerly right after the fork into its own (much smaller) slot and the
-/// fork dies as soon as the main branch has read it. Liveness for
+/// order; a residual diamond as fork, skip quantizer, main branch, then
+/// the downsample conv just before the add. The skip quantizer runs
+/// eagerly into its own slot (packed codes or float words), so the fork
+/// dies as soon as the main branch has read it. Liveness for
 /// activation-memory planning MUST be computed over this order — a plain
-/// topological order could schedule the skip quantizer early and call the
-/// fork value dead while the executor still needs it. Requires a legalized
-/// graph; throws std::invalid_argument on residual topologies the executor
-/// cannot express.
+/// topological order could schedule the downsample conv early and keep
+/// its output live across the whole main branch. Requires a legalized
+/// graph; throws std::invalid_argument on residual topologies the
+/// executor cannot express.
 std::vector<int> execution_schedule(const Graph& g);
 
 /// How plan_memory stores activation values whose every consumer is an
 /// integer GEMM on one common eqn-1 grid: as that grid's quantize codes,
 /// packed into sub-byte cells (kOn, the default — the AD policy in
-/// ad/act_bits.h picks the cell), stored one code per byte regardless of
-/// density (kPin with pin_bits = 8), pinned to a specific cell width
-/// (kPin, widened where the grid needs more bits), or not at all (kOff —
-/// every value stays float, byte-identical plans to the pre-compression
-/// planner). Lossless in every mode: the stored codes are exactly what the
-/// consuming GEMM's own quantize_act would compute.
+/// ad/act_bits.h picks the cell), or not at all (kOff — every value stays
+/// float; plan_memory uses it for the float-storage baseline footprint).
+/// Lossless either way: the stored codes are exactly what the consuming
+/// GEMM's own quantize_act would compute.
 struct ActStorageOptions {
-  enum class Mode { kOff, kOn, kPin };
+  enum class Mode { kOff, kOn };
   Mode mode = Mode::kOn;
-  /// kPin only: requested cell width {1, 2, 4, 8}. Values whose grid needs
-  /// a wider cell use the natural cell instead (codes must fit).
-  int pin_bits = 0;
   /// Layers above this bit-width run on the float path and never consume
   /// codes; must match the CompileOptions ceiling lowering will use.
   int max_integer_bits = 8;
   /// AD above which a producer falls back to 8-bit cells (kOn mode).
   double dense_threshold = 0.5;
 };
-
-/// Parses ADQ_ACT_BITS: unset/empty/"on" = kOn, "off" = kOff, "1"/"2"/
-/// "4"/"8" = kPin at that cell width. Anything else throws
-/// std::invalid_argument — a typo must not silently change the memory
-/// plan.
-ActStorageOptions act_storage_from_env();
 
 /// Assigns per-value activation storage (ValueMem::act_bits / act_qbits)
 /// under `opts`. A value packs when every effective consumer (looking
@@ -143,8 +130,6 @@ int assign_act_bits(Graph& g, const ActStorageOptions& opts);
 /// Graph::arena_bytes_u8() by packing the same graph twice. Results land on
 /// each node's `mem` annotation and in Graph::arena_bytes(); returns the
 /// arena size in bytes. Requires inferred shapes (run legalize() first).
-/// The parameterless overload reads ADQ_ACT_BITS (act_storage_from_env).
-std::int64_t plan_memory(Graph& g);
-std::int64_t plan_memory(Graph& g, const ActStorageOptions& opts);
+std::int64_t plan_memory(Graph& g, const ActStorageOptions& opts = {});
 
 }  // namespace adq::graph

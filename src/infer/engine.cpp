@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -108,20 +107,10 @@ EngineScratch& engine_scratch() {
   return scratch;
 }
 
-// ADQ_SUBBYTE=0 disables packed sub-byte execution (every integer layer
-// then runs through the legacy unpack-to-u8 views — the A/B reference the
-// golden-logits tests pin the packed path against); anything else,
-// including unset, leaves it on. Latched at engine construction.
-bool subbyte_env_enabled() {
-  const char* e = std::getenv("ADQ_SUBBYTE");
-  return e == nullptr || !(e[0] == '0' && e[1] == '\0');
-}
-
 // One policy for how an integer layer's weights reach the GEMM — shared
 // by the engine's construction-time cache and run_gemm_layer's standalone
-// path, so the two can never diverge. With sub-byte packing on (the
-// default), <= 4-bit convs and linears keep packed weight cells end to
-// end:
+// path, so the two can never diverge. <= 4-bit convs and linears keep
+// packed weight cells end to end:
 //   * packed convs repack the plan's flat codes into [O+1] byte-aligned
 //     rows — the all-ones zero-point row is packed too — consumed by the
 //     backend's igemm_u8w4/igemm_u8w2 kernels (nibbles expand in-register,
@@ -130,42 +119,18 @@ bool subbyte_env_enabled() {
 //     packed fan-in rows: the weights become the packed GEMM's A operand
 //     against transposed activation codes (see run_linear_int);
 //   * 1-bit cells widen to 2-bit rows (the narrowest packed kernel).
-// Legacy views (8-bit layers, depthwise, or ADQ_SUBBYTE=0):
-//   * integer convs materialise a [O+1, P] byte-per-code buffer whose
-//     last row is all-ones (the GEMM then emits the per-column activation
-//     code sums as its final accumulator row — see run_conv_int);
-//   * sub-byte integer linears and depthwise convs materialise their
-//     unpacked codes (no ones row — the depthwise loop sums its own
-//     activation patches);
-//   * 8-bit integer linears/depthwise read the plan's packed codes in place;
+// Byte-per-code views (8-bit layers and depthwise convs):
+//   * 8-bit integer convs materialise a [O+1, P] buffer whose last row is
+//     all-ones (the GEMM then emits the per-column activation code sums as
+//     its final accumulator row — see run_conv_int);
+//   * sub-byte depthwise convs materialise their unpacked codes (no ones
+//     row — the depthwise loop sums its own activation patches);
+//   * 8-bit integer linears/depthwise read the plan's codes in place;
 //   * float layers have no byte-code view at all.
-bool needs_exec_buffer(const GemmLayerPlan& l) {
-  return l.path == ExecPath::kInteger &&
-         ((l.is_conv && !l.is_depthwise) || l.cell_bits != 8);
-}
-
-void build_exec_codes(const GemmLayerPlan& l, std::vector<std::uint8_t>& out) {
-  const std::int64_t count = l.out_channels * l.patch();
-  const std::int64_t total =
-      l.is_conv && !l.is_depthwise ? count + l.patch() : count;
-  if (static_cast<std::int64_t>(out.size()) < total) {
-    out.resize(static_cast<std::size_t>(total));
-  }
-  if (l.cell_bits == 8) {
-    std::copy(l.weight_codes.begin(), l.weight_codes.end(), out.begin());
-  } else {
-    backend::active().unpack_codes(l.weight_codes.data(), count, l.cell_bits,
-                                   out.data());
-  }
-  if (l.is_conv && !l.is_depthwise) {
-    std::fill(out.begin() + count, out.begin() + total, 1);
-  }
-}
-
-ExecWeights build_exec_weights(const GemmLayerPlan& l, bool subbyte) {
+ExecWeights build_exec_weights(const GemmLayerPlan& l) {
   ExecWeights w;
   if (l.path != ExecPath::kInteger) return w;
-  if (subbyte && l.cell_bits <= 4 && !l.is_depthwise) {
+  if (l.cell_bits <= 4 && !l.is_depthwise) {
     w.packed = true;
     w.cell = std::max(l.cell_bits, 2);
     const std::int64_t O = l.out_channels;
@@ -186,12 +151,22 @@ ExecWeights build_exec_weights(const GemmLayerPlan& l, bool subbyte) {
     }
     return w;
   }
-  if (needs_exec_buffer(l)) build_exec_codes(l, w.buf);
+  const std::int64_t count = l.out_channels * l.patch();
+  if (l.is_depthwise) {
+    if (l.cell_bits != 8) {
+      w.buf.resize(static_cast<std::size_t>(count));
+      backend::active().unpack_codes(l.weight_codes.data(), count,
+                                     l.cell_bits, w.buf.data());
+    }
+  } else if (l.is_conv) {
+    w.buf.assign(l.weight_codes.begin(), l.weight_codes.end());
+    w.buf.resize(static_cast<std::size_t>(count + l.patch()), 1);
+  }
   return w;
 }
 
 // The pointer-level view run_layer dispatches on: packed rows carry their
-// cell width and byte stride; legacy views are plain byte-per-code.
+// cell width and byte stride; other views are plain byte-per-code.
 struct WeightView {
   const std::uint8_t* p = nullptr;
   bool packed = false;
@@ -281,8 +256,7 @@ const float* float_path_input(const GemmLayerPlan& l, const float* x,
 // ---------------------------------------------------------------------------
 // Layer kernels. Every kernel takes its input as a raw view and a
 // caller-provided output buffer: the arena executor points them at
-// compile-time-planned slots, the heap path at freshly allocated tensors —
-// one implementation, so the two paths are bit-identical by construction.
+// compile-time-planned slots, run_gemm_layer at a freshly allocated tensor.
 // ---------------------------------------------------------------------------
 
 // Integer conv over the whole batch: each chunk of images lowers into
@@ -609,24 +583,6 @@ void run_layer(const GemmLayerPlan& layer, const float* x, const Shape& shape,
   }
 }
 
-// Heap-path fake quantize: the tensor-allocating form of the backend's
-// fake_quant op (bit-identical to the buffer form by the quantizer's
-// contract), so the heap executor routes through the registry too.
-Tensor fake_quantize_tensor(const Tensor& x, int bits) {
-  Tensor out(x.shape());
-  backend::active().fake_quant(x.data(), x.numel(), bits, out.data());
-  return out;
-}
-
-// Heap-path convenience: allocates the output tensor and runs the kernel.
-Tensor run_layer_tensor(const GemmLayerPlan& layer, const Tensor& x,
-                        const WeightView& wv) {
-  check_layer_input(layer, x.shape());
-  Tensor out(layer_out_shape(layer, x.shape()));
-  run_layer(layer, x.data(), x.shape(), wv, /*pin=*/nullptr, out.data());
-  return out;
-}
-
 // Inference-only max pool (nn::MaxPool2d caches backward state; the engine
 // needs a stateless pass).
 void maxpool_forward(const float* x, std::int64_t B, std::int64_t C,
@@ -676,23 +632,21 @@ void check_add_shapes(const Shape& current, const Shape& skip) {
   }
 }
 
-// ADQ_ARENA=0 disables the slot executor (heap fallback for A/B checks and
-// paranoia); anything else — including unset — leaves it on. Read per
-// forward so a process can toggle it between runs.
-bool arena_env_enabled() {
-  const char* e = std::getenv("ADQ_ARENA");
-  return e == nullptr || !(e[0] == '0' && e[1] == '\0');
-}
-
 // One-time validation of a loaded/compiled memory plan: replays the op
 // walk over a 64-byte-granule stamp map, proving that every slot lies
 // inside the arena, no op's output overlaps an operand it is still
 // reading (in-place ops excepted — their reads and writes are
 // index-aligned), and no op overwrites bytes a later op still consumes.
+// A plan without a memory plan cannot execute at all.
 // The checksum only proves a file arrived as written, not that its
 // writer's planner was correct; without this check a hand-edited plan
 // could silently compute wrong logits.
 void validate_memory_plan(const InferencePlan& plan) {
+  if (plan.arena_bytes <= 0) {
+    throw std::runtime_error("infer: plan '" + plan.model_name +
+                             "' has no memory plan (arena bytes " +
+                             std::to_string(plan.arena_bytes) + ")");
+  }
   std::vector<std::int64_t> out_elems;
   try {
     out_elems = plan.op_out_elems();
@@ -831,22 +785,12 @@ void validate_memory_plan(const InferencePlan& plan) {
       case OpKind::kPushSkip:
         check_float_input(cur, i);
         check_live(cur, i);
-        if (op.skip_bits > 0) {
-          Val skip;
-          write_slot(skip, op.out_offset, bytes, {&cur}, i);
-          skips.push_back(skip);
-        } else {
-          skips.push_back(cur);  // alias — shares the stamp
-        }
+        skips.push_back(cur);  // alias — shares the stamp
         break;
       case OpKind::kQuantizeSkip:
         check_float_input(skips.back(), i);
         check_live(skips.back(), i);
-        if (op.out_offset < 0) {
-          rewrite_inplace(skips.back(), bytes, i);
-        } else {
-          write_slot(skips.back(), op.out_offset, bytes, {&skips.back()}, i);
-        }
+        write_slot(skips.back(), op.out_offset, bytes, {&skips.back()}, i);
         stamp_act(skips.back(), op);
         break;
       case OpKind::kSkipGemm:
@@ -882,24 +826,26 @@ void validate_memory_plan(const InferencePlan& plan) {
 
 Tensor run_gemm_layer(const GemmLayerPlan& layer, const Tensor& x) {
   // Standalone call without an engine: build the execution view per call
-  // (the engine proper uses its construction-time cache). Honours the same
-  // ADQ_SUBBYTE gate, so layer-level parity covers the packed kernels too.
-  const ExecWeights w = build_exec_weights(layer, subbyte_env_enabled());
-  return run_layer_tensor(layer, x, exec_weight_view(layer, w));
+  // (the engine proper uses its construction-time cache).
+  const ExecWeights w = build_exec_weights(layer);
+  check_layer_input(layer, x.shape());
+  Tensor out(layer_out_shape(layer, x.shape()));
+  run_layer(layer, x.data(), x.shape(), exec_weight_view(layer, w),
+            /*pin=*/nullptr, out.data());
+  return out;
 }
 
 IntInferenceEngine::IntInferenceEngine(InferencePlan plan)
     : plan_(std::move(plan)) {
-  // Resolve the backend now: an unknown or unavailable ADQ_BACKEND /
-  // ADQ_SIMD pin must fail engine construction (listing the registered
-  // backends), never silently fall back mid-forward.
+  // Resolve the backend now: an unknown or unavailable ADQ_BACKEND pin
+  // must fail engine construction (listing the registered backends),
+  // never silently fall back mid-forward.
   backend::active();
-  subbyte_ = subbyte_env_enabled();
+  validate_memory_plan(plan_);
   exec_weights_.resize(plan_.layers.size());
   for (std::size_t i = 0; i < plan_.layers.size(); ++i) {
-    exec_weights_[i] = build_exec_weights(plan_.layers[i], subbyte_);
+    exec_weights_[i] = build_exec_weights(plan_.layers[i]);
   }
-  if (plan_.arena_bytes > 0) validate_memory_plan(plan_);
 }
 
 std::int64_t IntInferenceEngine::exec_weight_bytes() const {
@@ -918,7 +864,6 @@ std::int64_t IntInferenceEngine::exec_weight_bytes() const {
 }
 
 bool IntInferenceEngine::uses_arena(const Tensor& x) const {
-  if (plan_.arena_bytes <= 0 || !arena_env_enabled()) return false;
   const PlannedInput& in = plan_.planned_input;
   if (in.rank == 3) {
     return x.shape().rank() == 4 && x.shape().dim(1) == in.channels &&
@@ -934,14 +879,6 @@ Tensor IntInferenceEngine::forward(const Tensor& x) const {
   return out;
 }
 
-void IntInferenceEngine::forward_into(const Tensor& x, Tensor& out) const {
-  if (uses_arena(x)) {
-    forward_arena(x, out);
-    return;
-  }
-  out = forward_heap(x);
-}
-
 // The slot-based executor: one preallocated per-thread arena, every op
 // writing into its planner-assigned slot (per-sample offsets scale by the
 // batch size — 64-byte slot alignment keeps the scaled offsets aligned and
@@ -949,7 +886,18 @@ void IntInferenceEngine::forward_into(const Tensor& x, Tensor& out) const {
 // input's slot directly; flatten is a pure reinterpretation of the current
 // view. Steady state performs zero heap allocations: the arena, code and
 // slab buffers all grow once and are reused.
-void IntInferenceEngine::forward_arena(const Tensor& x, Tensor& out) const {
+void IntInferenceEngine::forward_into(const Tensor& x, Tensor& out) const {
+  if (!uses_arena(x)) {
+    const PlannedInput& in = plan_.planned_input;
+    const std::string planned =
+        in.rank == 3 ? "[B, " + std::to_string(in.channels) + ", " +
+                           std::to_string(in.height) + ", " +
+                           std::to_string(in.width) + "]"
+                     : "[B, " + std::to_string(in.channels) + "]";
+    throw std::invalid_argument("infer: plan '" + plan_.model_name +
+                                "' expects input " + planned + ", got " +
+                                x.shape().to_string());
+  }
   const std::int64_t B = x.shape().dim(0);
   EngineScratch& ws = engine_scratch();
   float* arena =
@@ -1131,16 +1079,7 @@ void IntInferenceEngine::forward_arena(const Tensor& x, Tensor& out) const {
       }
       case OpKind::kPushSkip:
         require_float(cur, "push-skip");
-        if (op.skip_bits > 0) {
-          // Eager skip quantization (v1/v2-era plans; v3 lowering defers it
-          // to kQuantizeSkip so it can run in place).
-          float* dst = require_slot(op);
-          backend::active().fake_quant(cur.p, cur.shape.numel(), op.skip_bits,
-                                    dst);
-          skips.push_back(View{dst, op.out_offset, cur.shape});
-        } else {
-          skips.push_back(cur);  // alias — the planner keeps the slot live
-        }
+        skips.push_back(cur);  // alias — the planner keeps the slot live
         break;
       case OpKind::kQuantizeSkip: {
         if (skips.empty()) {
@@ -1164,8 +1103,6 @@ void IntInferenceEngine::forward_arena(const Tensor& x, Tensor& out) const {
             // floats.
             top = pack_result(op, top.p, top.shape, op.skip_bits);
           }
-        } else if (op.out_offset < 0) {
-          backend::active().fake_quant(top.p, n, op.skip_bits, inplace_ptr(top));
         } else {
           float* dst = require_slot(op);
           backend::active().fake_quant(top.p, n, op.skip_bits, dst);
@@ -1224,97 +1161,6 @@ void IntInferenceEngine::forward_arena(const Tensor& x, Tensor& out) const {
   if (out.shape() != cur.shape) out = Tensor(cur.shape);
   std::memcpy(out.data(), cur.p,
               static_cast<std::size_t>(cur.shape.numel()) * sizeof(float));
-}
-
-// The heap fallback: the pre-arena executor, one freshly allocated tensor
-// per op. Shares every kernel with the arena path, so the two are
-// bit-identical; used for v1/v2 plans (no memory plan), off-plan input
-// shapes, and ADQ_ARENA=0.
-Tensor IntInferenceEngine::forward_heap(const Tensor& x) const {
-  auto weight_view = [this](int layer) {
-    return exec_weight_view(plan_.layers[static_cast<std::size_t>(layer)],
-                            exec_weights_[static_cast<std::size_t>(layer)]);
-  };
-
-  Tensor current = x;
-  std::vector<Tensor> skip_stack;
-  for (const OpPlan& op : plan_.ops) {
-    switch (op.kind) {
-      case OpKind::kGemm:
-        current = run_layer_tensor(
-            plan_.layers[static_cast<std::size_t>(op.layer)], current,
-            weight_view(op.layer));
-        break;
-      case OpKind::kMaxPool: {
-        const std::int64_t B = current.shape().dim(0),
-                           C = current.shape().dim(1),
-                           H = current.shape().dim(2),
-                           W = current.shape().dim(3);
-        Tensor out(Shape{B, C, (H - op.pool_kernel) / op.pool_stride + 1,
-                         (W - op.pool_kernel) / op.pool_stride + 1});
-        maxpool_forward(current.data(), B, C, H, W, op.pool_kernel,
-                        op.pool_stride, out.data());
-        current = std::move(out);
-        break;
-      }
-      case OpKind::kGlobalAvgPool: {
-        const std::int64_t B = current.shape().dim(0),
-                           C = current.shape().dim(1);
-        Tensor out(Shape{B, C});
-        gap_forward(current.data(), B, C,
-                    current.shape().dim(2) * current.shape().dim(3),
-                    out.data());
-        current = std::move(out);
-        break;
-      }
-      case OpKind::kFlatten:
-        current = current.reshaped(
-            Shape{current.shape().dim(0),
-                  current.numel() / current.shape().dim(0)});
-        break;
-      case OpKind::kReLU:
-        current = relu(current);
-        break;
-      case OpKind::kPushSkip:
-        skip_stack.push_back(op.skip_bits > 0
-                                 ? fake_quantize_tensor(current, op.skip_bits)
-                                 : current);
-        break;
-      case OpKind::kQuantizeSkip:
-        if (skip_stack.empty()) {
-          throw std::logic_error("infer: quantize-skip without a saved skip");
-        }
-        skip_stack.back() =
-            fake_quantize_tensor(skip_stack.back(), op.skip_bits);
-        break;
-      case OpKind::kSkipGemm:
-        if (skip_stack.empty()) {
-          throw std::logic_error("infer: skip gemm without a saved skip");
-        }
-        skip_stack.back() = run_layer_tensor(
-            plan_.layers[static_cast<std::size_t>(op.layer)],
-            skip_stack.back(), weight_view(op.layer));
-        break;
-      case OpKind::kAddSkipRelu: {
-        if (skip_stack.empty()) {
-          throw std::logic_error("infer: residual add without a saved skip");
-        }
-        const Tensor& skip = skip_stack.back();
-        check_add_shapes(current.shape(), skip.shape());
-        backend::active().residual_add(
-            current.data(), skip.data(), current.shape().dim(0),
-            current.shape().dim(1),
-            current.shape().dim(2) * current.shape().dim(3), op.mask_channels,
-            current.data());
-        skip_stack.pop_back();
-        break;
-      }
-      case OpKind::kQuantize:
-        current = fake_quantize_tensor(current, op.skip_bits);
-        break;
-    }
-  }
-  return current;
 }
 
 std::vector<std::int64_t> IntInferenceEngine::predict(const Tensor& x) const {

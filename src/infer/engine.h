@@ -9,27 +9,22 @@
 // over the int32 accumulators. Float-path layers reproduce the training
 // forward exactly (fake-quantized operands, float GEMM, same epilogue).
 //
-// Execution is slot-based: when the plan carries a static memory plan
-// (arena_bytes > 0, format v3), every op writes its output into a
-// preallocated per-thread arena at the compile-time offset the planner
-// assigned — in-place where the planner proved it safe (standalone
-// ReLU/quantize, the deferred Fig-2 skip quantizer, the residual add) — so
-// a steady-state forward() performs ZERO heap allocations and its peak
-// activation footprint is exactly plan.arena_bytes * batch. Plans without
-// a memory plan (v1/v2 files), inputs whose shape differs from the planned
-// one, and runs with ADQ_ARENA=0 fall back to the heap path (a fresh
-// tensor per op). Both paths share the same kernels and are bit-identical.
+// Execution is slot-based: every plan carries a static memory plan
+// (arena_bytes > 0), and every op writes its output into a preallocated
+// per-thread arena at the compile-time offset the planner assigned —
+// in-place where the planner proved it safe (standalone ReLU/quantize,
+// the residual add) — so a steady-state forward() performs ZERO heap
+// allocations and its peak activation footprint is exactly
+// plan.arena_bytes * batch. An input whose per-sample shape differs from
+// the planned one is rejected.
 //
-// Sub-byte layers (<= 4 weight bits) execute on packed weight cells end to
-// end: construction repacks the plan's flat-packed codes into the
-// row-aligned layout the backend's igemm_u8w4 / igemm_u8w2 kernels consume
-// (nibbles and crumbs expand in-register inside the micro-kernel, never
-// into a byte-per-code buffer), so a 4-bit conv's resident execution view
-// is ~1/2 the bytes of its int8 form and the GEMM reads a quarter of the
-// weight traffic. ADQ_SUBBYTE=0 (read once at engine construction)
-// restores the previous unpack-to-u8 views; both paths produce
-// bit-identical logits because the packed kernels agree bit for bit with
-// the unpacked GEMM (enforced per backend by the conformance harness).
+// Sub-byte layers (<= 4 weight bits, except depthwise) execute on packed
+// weight cells end to end: construction repacks the plan's flat-packed
+// codes into the row-aligned layout the backend's igemm_u8w4 / igemm_u8w2
+// kernels consume (nibbles and crumbs expand in-register inside the
+// micro-kernel, never into a byte-per-code buffer), so a 4-bit conv's
+// resident execution view is ~1/2 the bytes of its int8 form and the GEMM
+// reads a quarter of the weight traffic.
 //
 // Thread-safety: forward()/predict() are const and safe to call
 // concurrently from any number of threads on one shared engine — the plan
@@ -55,8 +50,8 @@ namespace adq::infer {
 /// `packed` the buffer holds byte-aligned packed rows (cell-bit codes,
 /// zeroed tail bits) for the sub-byte igemm kernels: convs [out+1] rows of
 /// `row_bytes` whose last row is all-ones codes, linears [out] rows packing
-/// the fan-in. Otherwise `buf` is the legacy byte-per-code view (empty when
-/// the plan's own codes serve in place).
+/// the fan-in. Otherwise `buf` is the byte-per-code view of an 8-bit or
+/// depthwise layer (empty when the plan's own codes serve in place).
 struct ExecWeights {
   std::vector<std::uint8_t> buf;
   bool packed = false;
@@ -67,20 +62,23 @@ struct ExecWeights {
 class IntInferenceEngine {
  public:
   /// Takes ownership of the plan and builds every integer layer's weight
-  /// execution view once: row-aligned packed cells for <= 4-bit layers
-  /// (unless ADQ_SUBBYTE=0), byte-per-code buffers otherwise — the hot
-  /// path never touches bitpack.
-  /// For memory-planned plans, replays the op walk over the planned slots
-  /// once and throws std::runtime_error on an inconsistent layout — a slot
-  /// outside the arena, an output overlapping an operand the op still
-  /// reads, or a slot overwritten while a later op still consumes it (a
-  /// corrupt or hand-edited file; see validate_memory_plan).
+  /// execution view once: row-aligned packed cells for <= 4-bit
+  /// non-depthwise layers, byte-per-code buffers otherwise — the hot path
+  /// never touches bitpack.
+  /// Replays the op walk over the planned slots once and throws
+  /// std::runtime_error on a plan without a memory plan or with an
+  /// inconsistent layout — a slot outside the arena, an output overlapping
+  /// an operand the op still reads, or a slot overwritten while a later op
+  /// still consumes it (a corrupt or hand-edited file; see
+  /// validate_memory_plan).
   explicit IntInferenceEngine(InferencePlan plan);
 
   const InferencePlan& plan() const { return plan_; }
 
   /// Runs the whole plan; returns the logits [batch, classes]. Const and
-  /// safe to call concurrently (see file comment).
+  /// safe to call concurrently (see file comment). Throws
+  /// std::invalid_argument, naming both shapes, when x does not match the
+  /// planned input shape (see uses_arena).
   Tensor forward(const Tensor& x) const;
 
   /// As forward(), but writes the logits into `out`, reusing its storage
@@ -91,7 +89,7 @@ class IntInferenceEngine {
   /// Top-1 class index per sample.
   std::vector<std::int64_t> predict(const Tensor& x) const;
 
-  /// Per-sample activation arena footprint (0 = no memory plan).
+  /// Per-sample activation arena footprint.
   std::int64_t arena_bytes_per_sample() const { return plan_.arena_bytes; }
 
   /// What the same plan would occupy with every activation slot stored as
@@ -107,34 +105,25 @@ class IntInferenceEngine {
     return plan_.act_cell_histogram();
   }
 
-  /// Exact peak activation bytes of a batch-`batch` forward on the arena
-  /// path (offsets and sizes scale linearly with the batch).
+  /// Exact peak activation bytes of a batch-`batch` forward (offsets and
+  /// sizes scale linearly with the batch).
   std::int64_t peak_activation_bytes(std::int64_t batch) const {
     return plan_.peak_activation_bytes(batch);
   }
 
-  /// True when forward(x) will execute out of the planned arena: the plan
-  /// carries a memory plan, x matches the planned input shape, and
-  /// ADQ_ARENA is not set to 0.
+  /// True when forward(x) can execute out of the planned arena: x is a
+  /// batch of the planned input shape.
   bool uses_arena(const Tensor& x) const;
 
-  /// True when this engine executes <= 4-bit layers on packed weight cells
-  /// (ADQ_SUBBYTE, latched at construction).
-  bool subbyte_enabled() const { return subbyte_; }
-
   /// Resident bytes of the weight execution views the GEMMs actually read
-  /// (owned caches plus plan codes served in place). With sub-byte packing
-  /// on, <= 4-bit layers keep their packed cells and this shrinks by up to
-  /// 4x versus the unpacked views; reported so the memory tables can charge
-  /// the steady-state footprint, not just the plan file size.
+  /// (owned caches plus plan codes served in place). <= 4-bit layers keep
+  /// their packed cells, so this shrinks by up to 4x versus byte-per-code
+  /// views; reported so the memory tables can charge the steady-state
+  /// footprint, not just the plan file size.
   std::int64_t exec_weight_bytes() const;
 
  private:
-  Tensor forward_heap(const Tensor& x) const;
-  void forward_arena(const Tensor& x, Tensor& out) const;
-
   InferencePlan plan_;
-  bool subbyte_ = true;
   // Per-layer weight execution view, built once at construction: packed
   // rows for sub-byte layers, byte-per-code buffers (convs with an extra
   // all-ones row — the GEMM then emits the zero-point column sums as its

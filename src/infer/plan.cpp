@@ -168,19 +168,19 @@ GemmLayerPlan plan_linear_node(nn::Linear& linear, bool fuse_relu,
 // The engine is a stack machine over one "current" tensor plus a skip
 // stack, so lowering walks the legalized DAG recursively: chains emit in
 // producer order, and a residual diamond emits as
-//   PushSkip -> <main-branch ops> -> [QuantizeSkip] -> [SkipGemm]
+//   PushSkip -> [QuantizeSkip] -> <main-branch ops> -> [SkipGemm]
 //   -> AddSkipRelu.
-// The Fig-2 skip quantizer is deferred to just before the add (it reads
-// the untouched fork value either way), which lets the arena executor
-// quantize the fork slot in place once the main branch is done with it.
-// The skip branch may hold at most that quantizer and one (BN-folded)
+// The Fig-2 skip quantizer runs right after the push, into its own slot
+// (packed codes or float words), so the fork slot is free as soon as the
+// main branch has read it. The skip branch may hold at most that
+// quantizer and one (BN-folded)
 // conv — exactly what the skip stack can express; deeper skip branches
 // are an IR capability the engine does not have yet, and lowering says so
 // rather than miscompiling. Branch decomposition is shared with the
 // memory planner (graph::decompose_residual), so op emission and slot
 // liveness agree by construction.
 //
-// When graph::plan_memory has annotated the graph, every op carries the
+// graph::plan_memory must have annotated the graph: every op carries the
 // arena slot its output occupies (out_offset; -1 = in place / pure view)
 // and the plan records the arena footprint + planned input shape.
 // ---------------------------------------------------------------------------
@@ -188,23 +188,25 @@ GemmLayerPlan plan_linear_node(nn::Linear& linear, bool fuse_relu,
 class Lowerer {
  public:
   Lowerer(const graph::Graph& g, const CompileOptions& opts)
-      : g_(g),
-        opts_(opts),
-        planned_(g.output() >= 0 && g.at(g.output()).mem.def >= 0) {}
+      : g_(g), opts_(opts) {
+    if (g.output() < 0 || g.at(g.output()).mem.def < 0 ||
+        g.arena_bytes() <= 0) {
+      throw std::logic_error("infer::lower_to_plan: graph '" + g.name() +
+                             "' has no memory plan (run graph::plan_memory "
+                             "first)");
+    }
+  }
 
   InferencePlan run() {
     plan_.model_name = g_.name();
     emit_value(g_.output());
-    if (planned_) {
-      plan_.arena_bytes = g_.arena_bytes();
-      plan_.arena_bytes_u8 =
-          g_.arena_bytes_u8() > 0 ? g_.arena_bytes_u8() : g_.arena_bytes();
-      const graph::ValueType& in = g_.at(g_.input()).type;
-      plan_.planned_input.rank = in.rank;
-      plan_.planned_input.channels = in.channels;
-      plan_.planned_input.height = in.height;
-      plan_.planned_input.width = in.width;
-    }
+    plan_.arena_bytes = g_.arena_bytes();
+    plan_.arena_bytes_u8 = g_.arena_bytes_u8();
+    const graph::ValueType& in = g_.at(g_.input()).type;
+    plan_.planned_input.rank = in.rank;
+    plan_.planned_input.channels = in.channels;
+    plan_.planned_input.height = in.height;
+    plan_.planned_input.width = in.width;
     return std::move(plan_);
   }
 
@@ -217,17 +219,16 @@ class Lowerer {
   }
 
   // Arena slot the op producing `n`'s value writes to: -1 (in place /
-  // pure view / unplanned graph) or the planner's byte offset.
+  // pure view) or the planner's byte offset.
   std::int64_t out_slot(const graph::Node& n) const {
-    if (!planned_ || n.mem.inplace) return -1;
-    return n.mem.offset;
+    return n.mem.inplace ? -1 : n.mem.offset;
   }
 
   // Copies the planner's activation-storage decision onto the op. A packed
   // value must own a real slot — the planner never aliases packed storage
   // in place, so a missing slot here is a planner/lowering disagreement.
   void annotate_act(OpPlan& op, const graph::Node& n) {
-    if (!planned_ || n.mem.act_bits <= 0) return;
+    if (n.mem.act_bits <= 0) return;
     if (op.out_offset < 0) {
       cannot_lower(n, "packed activation value has no arena slot");
     }
@@ -240,7 +241,7 @@ class Lowerer {
     // quantizing; that is only exact when the layer runs the integer path
     // on the very grid the codes were produced for.
     const graph::Node& in = g_.at(n.inputs[0]);
-    if (planned_ && in.mem.act_bits > 0 &&
+    if (in.mem.act_bits > 0 &&
         (layer.path != ExecPath::kInteger ||
          in.mem.act_qbits != layer.bits)) {
       cannot_lower(n, "consumes a packed activation value quantized on a "
@@ -340,16 +341,12 @@ class Lowerer {
     emit_value(parts.fork);
     OpPlan push;
     push.kind = OpKind::kPushSkip;
-    plan_.ops.push_back(push);  // bits 0: the skip aliases the fork slot
+    plan_.ops.push_back(push);  // the skip aliases the fork slot
 
-    // A packed skip quantizer owns a fresh compressed slot, so it runs
-    // eagerly right after the fork (freeing the fork slot once the main
-    // branch reads it); a float one keeps the deferred in-place order.
+    // The skip quantizer runs right after the push, into its own slot.
     // Mirrors graph::execution_schedule — op order and slot liveness must
     // agree.
-    const bool packed_skip = planned_ && parts.quantize >= 0 &&
-                             g_.at(parts.quantize).mem.act_bits > 0;
-    const auto emit_quant = [&] {
+    if (parts.quantize >= 0) {
       const graph::Node& q = g_.at(parts.quantize);
       OpPlan quant;
       quant.kind = OpKind::kQuantizeSkip;
@@ -357,12 +354,10 @@ class Lowerer {
       quant.out_offset = out_slot(q);
       annotate_act(quant, q);
       plan_.ops.push_back(quant);
-    };
-    if (packed_skip) emit_quant();
+    }
 
     for (int m : parts.main_chain) emit_op(g_.at(m));
 
-    if (parts.quantize >= 0 && !packed_skip) emit_quant();
     if (parts.downsample >= 0) {
       emit_gemm(plan_for(g_.at(parts.downsample)), OpKind::kSkipGemm,
                 g_.at(parts.downsample));
@@ -382,7 +377,6 @@ class Lowerer {
 
   const graph::Graph& g_;
   const CompileOptions& opts_;
-  const bool planned_;  // graph carries plan_memory() annotations
   InferencePlan plan_;
 };
 
@@ -421,10 +415,9 @@ PlannedInput gemm_out_shape(const GemmLayerPlan& l, const PlannedInput& in) {
 template <typename Visit>
 void walk_op_shapes(const InferencePlan& plan, Visit&& visit) {
   if (plan.planned_input.rank == 0) {
-    throw std::logic_error(
-        "infer: plan '" + plan.model_name +
-        "' carries no planned input shape (format v1/v2) — "
-        "activation accounting needs a memory-planned (v3) plan");
+    throw std::logic_error("infer: plan '" + plan.model_name +
+                           "' carries no planned input shape (no memory "
+                           "plan)");
   }
   PlannedInput cur = plan.planned_input;
   std::vector<PlannedInput> skips;
@@ -613,7 +606,7 @@ InferencePlan compile(models::QuantizableModel& model,
   graph::legalize(g);
   // The storage planner must agree with plan_weights on which layers run
   // the integer path, or it would pack a value its consumer cannot read.
-  graph::ActStorageOptions aopts = graph::act_storage_from_env();
+  graph::ActStorageOptions aopts;
   aopts.max_integer_bits = opts.max_integer_bits;
   graph::plan_memory(g, aopts);
   return lower_to_plan(g, opts);

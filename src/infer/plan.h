@@ -134,36 +134,33 @@ enum class OpKind {
   kGlobalAvgPool,
   kFlatten,
   kReLU,         // standalone ReLU (left behind by a removed/bypassed conv)
-  kPushSkip,     // save the current tensor (entering a residual block),
-                 // fake-quantized at skip_bits when > 0 (Fig 2: skip
-                 // activations use the destination conv2's precision)
+  kPushSkip,     // save the current tensor (entering a residual block)
   kSkipGemm,     // layers[op.layer] applied to the saved skip (downsample)
   kAddSkipRelu,  // current += saved skip; eqn-5 mask; ReLU
   kQuantize,     // current = fake_quantize(current, skip_bits) — a
-                 // standalone quantizer no pass could fuse (format v2+)
+                 // standalone quantizer no pass could fuse
   kQuantizeSkip, // saved skip = fake_quantize(saved skip, skip_bits) — the
-                 // Fig-2 skip quantizer deferred to just before the add so
-                 // the arena executor can snap the fork slot in place once
-                 // the main branch is done reading it (format v3+)
+                 // Fig-2 skip quantizer (skip activations use the
+                 // destination conv2's precision), run right after the
+                 // push into its own slot
 };
 
 struct OpPlan {
   OpKind kind = OpKind::kGemm;
   int layer = -1;                  // kGemm / kSkipGemm
-  int skip_bits = 0;               // kPushSkip / kQuantize[Skip] (0 = none)
+  int skip_bits = 0;               // kQuantize / kQuantizeSkip grid
   std::int64_t pool_kernel = 2, pool_stride = 2;  // kMaxPool
   std::int64_t mask_channels = -1; // kAddSkipRelu (-1 = no mask)
   /// Arena byte offset (per sample, 64-aligned; scaled by the batch size at
   /// run time) where this op writes its output. -1 means the op has no slot
   /// of its own: it executes in place over its input's slot (ReLU/quantize/
-  /// residual add), is a pure view (flatten), or the plan predates memory
-  /// planning (format v1/v2 — the engine then falls back to heap tensors).
+  /// residual add), is a pure view (flatten), or aliases the fork (push).
   std::int64_t out_offset = -1;
-  /// Activation-storage compression (format v4): when > 0, the op's output
+  /// Activation-storage compression: when > 0, the op's output
   /// lands in its slot as packed `out_act_bits`-bit quantize codes
   /// (cell width in {1, 2, 4, 8}) instead of float words, and out_offset
   /// must name a real slot (packed ops never run in place). 0 = plain
-  /// float storage (every pre-v4 plan).
+  /// float storage.
   int out_act_bits = 0;
   /// Grid of the stored codes: the common bit-width of every consuming
   /// integer GEMM (the consumer then skips its own quantize_act and reads
@@ -173,8 +170,8 @@ struct OpPlan {
 };
 
 /// Batch-agnostic shape of the value a plan's input op consumes — the
-/// anchor the memory plan was computed against. rank 0 on v1/v2 plans
-/// (no memory plan).
+/// anchor the memory plan was computed against (rank 0 only on a plan
+/// that was never memory-planned, which the engine refuses).
 struct PlannedInput {
   int rank = 0;  // 3 = [C, H, W] feature maps, 1 = [C] features
   std::int64_t channels = 0, height = 0, width = 0;
@@ -205,13 +202,12 @@ struct InferencePlan {
   std::vector<OpPlan> ops;
 
   /// Per-sample activation arena footprint in bytes (the static memory
-  /// planner's exact peak). 0 when the plan carries no memory plan
-  /// (v1/v2 files); the engine then executes on heap tensors.
+  /// planner's exact peak). Always > 0 on an executable plan.
   std::int64_t arena_bytes = 0;
 
   /// The float-storage baseline footprint: what arena_bytes would have
   /// been with activation compression off. Equals arena_bytes when the
-  /// plan has no packed slots (and on every pre-v4 file).
+  /// plan has no packed slots.
   std::int64_t arena_bytes_u8 = 0;
 
   /// Input value shape the memory plan (and traffic report) assume.
@@ -231,7 +227,7 @@ struct InferencePlan {
 
   /// Per-sample output element count of every op, in op order, simulated
   /// from planned_input — the shape walk the executor performs. Throws
-  /// std::logic_error when the plan has no planned input (v1/v2).
+  /// std::logic_error when the plan has no planned input.
   std::vector<std::int64_t> op_out_elems() const;
 
   /// Per-layer activation traffic + peak footprint at the given batch
@@ -259,8 +255,9 @@ GemmLayerPlan plan_depthwise(nn::DepthwiseConv2d& conv, nn::BatchNorm2d* bn,
 GemmLayerPlan plan_linear(nn::Linear& linear, bool fuse_relu,
                           const CompileOptions& opts = {});
 
-/// Emits the plan for an already-legalized graph (see graph/passes.h).
-/// Throws std::invalid_argument when the graph contains structures the
+/// Emits the plan for an already-legalized, memory-planned graph (see
+/// graph/passes.h). Throws std::logic_error when graph::plan_memory has not
+/// run, and std::invalid_argument when the graph contains structures the
 /// engine's stack machine cannot execute (an unfused BatchNorm, a residual
 /// add without a fused ReLU, a skip branch deeper than quantize + one
 /// conv).

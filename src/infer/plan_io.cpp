@@ -214,10 +214,10 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void write_layer(Writer& w, const GemmLayerPlan& l, std::uint32_t version) {
+void write_layer(Writer& w, const GemmLayerPlan& l) {
   w.str(l.name);
   w.scalar<std::uint8_t>(l.is_conv ? 1 : 0);
-  if (version >= 2) w.scalar<std::uint8_t>(l.is_depthwise ? 1 : 0);
+  w.scalar<std::uint8_t>(l.is_depthwise ? 1 : 0);
   w.scalar<std::uint8_t>(l.path == ExecPath::kInteger ? 1 : 0);
   w.scalar<std::int64_t>(l.in_channels);
   w.scalar<std::int64_t>(l.out_channels);
@@ -238,12 +238,11 @@ void write_layer(Writer& w, const GemmLayerPlan& l, std::uint32_t version) {
   w.scalar<std::int64_t>(l.active_out);
 }
 
-GemmLayerPlan read_layer(Reader& r, std::uint32_t version) {
+GemmLayerPlan read_layer(Reader& r) {
   GemmLayerPlan l;
   l.name = r.str();
   l.is_conv = r.scalar<std::uint8_t>() != 0;
-  // v1 payloads predate depthwise layers and carry no flag byte.
-  l.is_depthwise = version >= 2 ? r.scalar<std::uint8_t>() != 0 : false;
+  l.is_depthwise = r.scalar<std::uint8_t>() != 0;
   const auto path = r.scalar<std::uint8_t>();
   if (path > 1) fail("invalid execution path tag");
   l.path = path == 1 ? ExecPath::kInteger : ExecPath::kFloat;
@@ -318,30 +317,23 @@ GemmLayerPlan read_layer(Reader& r, std::uint32_t version) {
   return l;
 }
 
-void write_op(Writer& w, const OpPlan& op, std::uint32_t version) {
+void write_op(Writer& w, const OpPlan& op) {
   w.scalar<std::uint8_t>(static_cast<std::uint8_t>(op.kind));
   w.scalar<std::int32_t>(op.layer);
   w.scalar<std::int32_t>(op.skip_bits);
   w.scalar<std::int64_t>(op.pool_kernel);
   w.scalar<std::int64_t>(op.pool_stride);
   w.scalar<std::int64_t>(op.mask_channels);
-  if (version >= 3) w.scalar<std::int64_t>(op.out_offset);
-  if (version >= 4) {
-    w.scalar<std::int32_t>(op.out_act_bits);
-    w.scalar<std::int32_t>(op.out_act_qbits);
-  }
+  w.scalar<std::int64_t>(op.out_offset);
+  w.scalar<std::int32_t>(op.out_act_bits);
+  w.scalar<std::int32_t>(op.out_act_qbits);
 }
 
-OpPlan read_op(Reader& r, std::size_t layer_count, std::uint32_t version,
-               std::int64_t arena_bytes) {
+OpPlan read_op(Reader& r, std::size_t layer_count, std::int64_t arena_bytes) {
   OpPlan op;
   const auto kind = r.scalar<std::uint8_t>();
-  const OpKind max_kind = version >= 3   ? OpKind::kQuantizeSkip
-                          : version >= 2 ? OpKind::kQuantize
-                                         : OpKind::kAddSkipRelu;
-  if (kind > static_cast<std::uint8_t>(max_kind)) {
-    fail("invalid op kind tag " + std::to_string(kind) +
-         " for format version " + std::to_string(version));
+  if (kind > static_cast<std::uint8_t>(OpKind::kQuantizeSkip)) {
+    fail("invalid op kind tag " + std::to_string(kind));
   }
   op.kind = static_cast<OpKind>(kind);
   op.layer = r.scalar<std::int32_t>();
@@ -349,8 +341,7 @@ OpPlan read_op(Reader& r, std::size_t layer_count, std::uint32_t version,
   op.pool_kernel = r.scalar<std::int64_t>();
   op.pool_stride = r.scalar<std::int64_t>();
   op.mask_channels = r.scalar<std::int64_t>();
-  // v1/v2 payloads predate memory planning and carry no slot offsets.
-  op.out_offset = version >= 3 ? r.scalar<std::int64_t>() : -1;
+  op.out_offset = r.scalar<std::int64_t>();
   if (op.kind == OpKind::kGemm || op.kind == OpKind::kSkipGemm) {
     if (op.layer < 0 || static_cast<std::size_t>(op.layer) >= layer_count) {
       fail("op references layer " + std::to_string(op.layer) +
@@ -361,8 +352,10 @@ OpPlan read_op(Reader& r, std::size_t layer_count, std::uint32_t version,
       (op.pool_kernel < 1 || op.pool_stride < 1)) {
     fail("invalid pool geometry");
   }
-  if (op.kind == OpKind::kPushSkip && (op.skip_bits < 0 || op.skip_bits > 32)) {
-    fail("invalid skip bit-width");
+  // The push only aliases the fork; the skip quantizer is its own
+  // kQuantizeSkip op.
+  if (op.kind == OpKind::kPushSkip && op.skip_bits != 0) {
+    fail("push-skip carries a skip bit-width");
   }
   if (op.kind == OpKind::kAddSkipRelu && op.mask_channels < -1) {
     fail("invalid residual mask");
@@ -380,9 +373,8 @@ OpPlan read_op(Reader& r, std::size_t layer_count, std::uint32_t version,
     fail("arena slot offset " + std::to_string(op.out_offset) +
          " outside the declared arena");
   }
-  // v1-v3 payloads predate compressed activation slots.
-  op.out_act_bits = version >= 4 ? r.scalar<std::int32_t>() : 0;
-  op.out_act_qbits = version >= 4 ? r.scalar<std::int32_t>() : 0;
+  op.out_act_bits = r.scalar<std::int32_t>();
+  op.out_act_qbits = r.scalar<std::int32_t>();
   if (op.out_act_bits != 0 && op.out_act_bits != 1 && op.out_act_bits != 2 &&
       op.out_act_bits != 4 && op.out_act_bits != 8) {
     fail("invalid packed activation cell width " +
@@ -401,7 +393,7 @@ OpPlan read_op(Reader& r, std::size_t layer_count, std::uint32_t version,
          cell_bits_for(op.out_act_qbits) > op.out_act_bits)) {
       fail("activation code grid does not fit its packed cell width");
     }
-    // Only the (deferred or standalone) quantize ops may self-code
+    // Only the skip or standalone quantize ops may self-code
     // (grid 0 — the consumer dequantizes on the op's own skip_bits grid);
     // every other packed op stores codes on a consumer GEMM's grid.
     if (op.out_act_qbits == 0 && op.kind != OpKind::kQuantize &&
@@ -414,69 +406,23 @@ OpPlan read_op(Reader& r, std::size_t layer_count, std::uint32_t version,
 
 }  // namespace
 
-void save_plan(const InferencePlan& plan, std::ostream& out,
-               std::uint32_t version) {
-  if (version == 0 || version > kPlanFormatVersion) {
-    fail("cannot write format version " + std::to_string(version) +
-         " (this build writes up to " + std::to_string(kPlanFormatVersion) +
-         ")");
-  }
-  if (version < 2) {
-    for (const GemmLayerPlan& l : plan.layers) {
-      if (l.is_depthwise) {
-        fail("depthwise layer '" + l.name +
-             "' requires format version 2; cannot write version " +
-             std::to_string(version));
-      }
-    }
-    for (const OpPlan& op : plan.ops) {
-      if (op.kind == OpKind::kQuantize) {
-        fail("standalone quantize op requires format version 2; cannot "
-             "write version " + std::to_string(version));
-      }
-    }
-  }
-  if (version < 3) {
-    // The arena annotations are derivable metadata and are silently
-    // dropped (the loaded plan runs on the heap path, bit-identically);
-    // a deferred skip-quantize OP, however, is semantics an older reader
-    // cannot execute.
-    for (const OpPlan& op : plan.ops) {
-      if (op.kind == OpKind::kQuantizeSkip) {
-        fail("deferred skip-quantize op requires format version 3; cannot "
-             "write version " + std::to_string(version));
-      }
-    }
-  }
-  if (version < 4) {
-    // Packed slots are NOT droppable metadata: the slot offsets are sized
-    // for packed codes, so a version <= 3 file would execute float stores
-    // into undersized slots.
-    for (const OpPlan& op : plan.ops) {
-      if (op.out_act_bits > 0) {
-        fail("packed activation slots require format version 4; cannot "
-             "write version " + std::to_string(version) +
-             " (recompile with ADQ_ACT_BITS=off for a float-slot plan)");
-      }
-    }
-  }
+void save_plan(const InferencePlan& plan, std::ostream& out) {
   Writer w;
   w.str(plan.model_name);
-  if (version >= 3) {
-    w.scalar<std::int64_t>(plan.arena_bytes);
-    if (version >= 4) w.scalar<std::int64_t>(plan.arena_bytes_u8);
-    w.scalar<std::uint8_t>(static_cast<std::uint8_t>(plan.planned_input.rank));
-    w.scalar<std::int64_t>(plan.planned_input.channels);
-    w.scalar<std::int64_t>(plan.planned_input.height);
-    w.scalar<std::int64_t>(plan.planned_input.width);
-  }
+  w.scalar<std::int64_t>(plan.arena_bytes);
+  w.scalar<std::int64_t>(plan.arena_bytes_u8);
+  w.scalar<std::uint8_t>(static_cast<std::uint8_t>(plan.planned_input.rank));
+  w.scalar<std::int64_t>(plan.planned_input.channels);
+  w.scalar<std::int64_t>(plan.planned_input.height);
+  w.scalar<std::int64_t>(plan.planned_input.width);
   w.scalar<std::uint32_t>(static_cast<std::uint32_t>(plan.layers.size()));
-  for (const GemmLayerPlan& l : plan.layers) write_layer(w, l, version);
+  for (const GemmLayerPlan& l : plan.layers) write_layer(w, l);
   w.scalar<std::uint32_t>(static_cast<std::uint32_t>(plan.ops.size()));
-  for (const OpPlan& op : plan.ops) write_op(w, op, version);
+  for (const OpPlan& op : plan.ops) write_op(w, op);
 
   const std::string& payload = w.payload();
   out.write(kMagic, sizeof(kMagic));
+  const std::uint32_t version = kPlanFormatVersion;
   const std::uint32_t flags = 0;
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
   out.write(reinterpret_cast<const char*>(&flags), sizeof(flags));
@@ -509,10 +455,10 @@ InferencePlan load_plan(std::istream& in) {
   }
   std::uint32_t version;
   std::memcpy(&version, blob.data() + sizeof(kMagic), sizeof(version));
-  if (version == 0 || version > kPlanFormatVersion) {
+  if (version != kPlanFormatVersion) {
     fail("unsupported format version " + std::to_string(version) +
-         " (this build reads up to " + std::to_string(kPlanFormatVersion) +
-         ")");
+         " (this build reads only " + std::to_string(kPlanFormatVersion) +
+         "; recompile the plan)");
   }
 
   const char* payload = blob.data() + kHeaderSize;
@@ -528,45 +474,38 @@ InferencePlan load_plan(std::istream& in) {
   Reader r(payload, payload_size);
   InferencePlan plan;
   plan.model_name = r.str();
-  if (version >= 3) {
-    plan.arena_bytes = r.scalar<std::int64_t>();
-    // v3 files predate compressed slots: their arena IS the float arena.
-    plan.arena_bytes_u8 =
-        version >= 4 ? r.scalar<std::int64_t>() : plan.arena_bytes;
-    plan.planned_input.rank = r.scalar<std::uint8_t>();
-    plan.planned_input.channels = r.scalar<std::int64_t>();
-    plan.planned_input.height = r.scalar<std::int64_t>();
-    plan.planned_input.width = r.scalar<std::int64_t>();
-    if (plan.arena_bytes < 0 || plan.arena_bytes > kMaxElems) {
-      fail("invalid arena size");
-    }
-    if (plan.arena_bytes_u8 < 0 || plan.arena_bytes_u8 > kMaxElems) {
-      fail("invalid float-baseline arena size");
-    }
-    if (plan.planned_input.rank != 0 && plan.planned_input.rank != 1 &&
-        plan.planned_input.rank != 3) {
-      fail("invalid planned input rank");
-    }
-    if (plan.arena_bytes > 0 && plan.planned_input.rank == 0) {
-      fail("memory-planned file is missing its planned input shape");
-    }
-    if (plan.planned_input.rank != 0 &&
-        (plan.planned_input.channels < 1 ||
-         (plan.planned_input.rank == 3 && (plan.planned_input.height < 1 ||
-                                           plan.planned_input.width < 1)))) {
-      fail("invalid planned input shape");
-    }
+  plan.arena_bytes = r.scalar<std::int64_t>();
+  plan.arena_bytes_u8 = r.scalar<std::int64_t>();
+  plan.planned_input.rank = r.scalar<std::uint8_t>();
+  plan.planned_input.channels = r.scalar<std::int64_t>();
+  plan.planned_input.height = r.scalar<std::int64_t>();
+  plan.planned_input.width = r.scalar<std::int64_t>();
+  // The engine executes only out of the planned arena.
+  if (plan.arena_bytes <= 0) {
+    fail("plan '" + plan.model_name + "' has no memory plan (arena bytes " +
+         std::to_string(plan.arena_bytes) + "); recompile the plan");
+  }
+  if (plan.arena_bytes > kMaxElems) fail("invalid arena size");
+  if (plan.arena_bytes_u8 < 0 || plan.arena_bytes_u8 > kMaxElems) {
+    fail("invalid float-baseline arena size");
+  }
+  if (plan.planned_input.rank != 1 && plan.planned_input.rank != 3) {
+    fail("invalid planned input rank");
+  }
+  if (plan.planned_input.channels < 1 ||
+      (plan.planned_input.rank == 3 &&
+       (plan.planned_input.height < 1 || plan.planned_input.width < 1))) {
+    fail("invalid planned input shape");
   }
   const auto layer_count = r.scalar<std::uint32_t>();
   plan.layers.reserve(layer_count);
   for (std::uint32_t i = 0; i < layer_count; ++i) {
-    plan.layers.push_back(read_layer(r, version));
+    plan.layers.push_back(read_layer(r));
   }
   const auto op_count = r.scalar<std::uint32_t>();
   plan.ops.reserve(op_count);
   for (std::uint32_t i = 0; i < op_count; ++i) {
-    plan.ops.push_back(read_op(r, plan.layers.size(), version,
-                               plan.arena_bytes));
+    plan.ops.push_back(read_op(r, plan.layers.size(), plan.arena_bytes));
   }
   if (!r.exhausted()) fail("trailing bytes after the op list");
   return plan;

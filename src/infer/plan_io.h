@@ -2,8 +2,8 @@
 //
 // save_plan() writes an InferencePlan to a versioned binary file:
 // pre-quantized packed eqn-1 weight cells, the per-layer bit policy,
-// folded BatchNorm epilogues, eqn-5 channel masks, and the op list —
-// everything IntInferenceEngine needs. load_plan() restores it, so a
+// folded BatchNorm epilogues, eqn-5 channel masks, the op list and its
+// static activation-memory plan — everything IntInferenceEngine needs. load_plan() restores it, so a
 // server process cold-starts from the file without retraining, rebuilding
 // the model graph, or recompiling the plan.
 //
@@ -13,14 +13,15 @@
 //   0       8     magic "ADQPLAN\0"
 //   8       4     u32 format version (kPlanFormatVersion)
 //   12      4     u32 reserved flags (0)
-//   16      N     payload: model name, [v3+: arena bytes + [v4+: float
-//                 baseline arena bytes] + planned input shape], layers[],
-//                 ops[] (see plan_io.cpp)
+//   16      N     payload: model name, arena bytes, float-baseline arena
+//                 bytes, planned input shape, layers[], ops[] (see
+//                 plan_io.cpp)
 //   16+N    8     u64 FNV-1a checksum of the payload
 //
 // Loading verifies magic, version and checksum before parsing and throws
-// std::runtime_error with a precise reason (bad magic / unsupported
-// version / truncation / checksum mismatch) otherwise. Serialization is
+// std::runtime_error with a precise reason (bad magic / any version but
+// the current one / truncation / checksum mismatch / no memory plan)
+// otherwise. Serialization is
 // deterministic: saving a plan, loading it, and saving again produces
 // byte-identical files, which tests/test_plan_io.cpp asserts.
 #pragma once
@@ -33,42 +34,21 @@
 
 namespace adq::infer {
 
-/// Current .adqplan format version. Bump when the payload layout changes;
-/// load_plan rejects files newer than this and still reads every older
-/// version. History:
-///   1 — initial format (PR 3)
-///   2 — per-layer `is_depthwise` flag; OpKind::kQuantize standalone
-///       quantize ops (graph-IR compiler)
-///   3 — static activation-memory plan: per-plan arena footprint + planned
-///       input shape, per-op arena slot offsets, OpKind::kQuantizeSkip
-///       (the deferred Fig-2 skip quantizer the arena executor runs in
-///       place)
-///   4 — compressed activation slots: per-op packed storage cell width +
-///       code grid (out_act_bits / out_act_qbits) and the per-plan
-///       float-storage baseline footprint (arena_bytes_u8)
+/// The .adqplan format version this build reads and writes. Bump it when
+/// the payload layout changes; load_plan rejects every other version
+/// (recompile the plan from its model).
 constexpr std::uint32_t kPlanFormatVersion = 4;
 
-/// Serializes the plan to a stream (binary). `version` selects the format
-/// emitted (for consumers still reading an older version); it throws
-/// std::runtime_error when the plan contains OPS the requested version
-/// cannot express (depthwise layers / standalone quantize ops at v1,
-/// deferred skip-quantize ops at v2 — every freshly compiled residual
-/// plan has those). The v3 memory-plan annotations, by contrast, are
-/// derivable metadata: writing v1/v2 silently drops them and the loaded
-/// plan executes on the engine's heap path with identical results.
-/// Packed activation slots (v4) are NOT droppable: a version <= 3 file
-/// would keep slot offsets sized for packed codes while readers execute
-/// float stores, so save_plan refuses to write a packed plan at <= 3 —
-/// recompile with ADQ_ACT_BITS=off to produce a v3-compatible plan.
-void save_plan(const InferencePlan& plan, std::ostream& out,
-               std::uint32_t version = kPlanFormatVersion);
+/// Serializes the plan to a stream (binary).
+void save_plan(const InferencePlan& plan, std::ostream& out);
 
 /// Serializes the plan to a file. Throws std::runtime_error when the file
 /// cannot be written.
 void save_plan(const InferencePlan& plan, const std::string& path);
 
 /// Parses a plan from a stream. Throws std::runtime_error on malformed
-/// input (bad magic, unsupported version, truncation, checksum mismatch).
+/// input (bad magic, a version other than kPlanFormatVersion, truncation,
+/// checksum mismatch, a plan without a memory plan).
 InferencePlan load_plan(std::istream& in);
 
 /// Parses a plan from a file. Throws std::runtime_error when the file

@@ -36,8 +36,7 @@ Shape plan_sample_shape(const infer::InferencePlan& plan) {
   if (pi.rank == 1) return Shape{pi.channels};
   throw std::invalid_argument(
       "registry: plan '" + plan.model_name +
-      "' carries no planned input shape (a format v1/v2 file?) — the "
-      "registry needs format v3 plans");
+      "' carries no planned input shape (no memory plan)");
 }
 
 /// Output dimension (elements per sample of the final op) simulated from

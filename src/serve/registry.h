@@ -90,8 +90,7 @@ class ModelRegistry {
   /// Registers `name` serving the given plan ladder (rung 0 first; at
   /// least one rung). Every rung must agree with rung 0 on planned input
   /// shape and output dimension (validated with errors naming both
-  /// fingerprints); every plan must carry a planned input shape (format
-  /// v3). Throws std::invalid_argument on a duplicate name or malformed
+  /// fingerprints); every plan must carry a planned input shape. Throws std::invalid_argument on a duplicate name or malformed
   /// config. Workers start serving before this returns.
   void add_model(const std::string& name,
                  std::vector<infer::InferencePlan> ladder,

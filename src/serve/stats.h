@@ -53,12 +53,12 @@ class ServerStats {
     std::uint64_t step_downs = 0;  // transitions toward cheaper precision
     std::uint64_t step_ups = 0;    // transitions back toward rung 0
     int current_step = 0;
-    // Static memory contract (0 when the plan carries no memory plan):
-    // the planned activation-slot footprint; kernel scratch is extra.
+    // Static memory contract (0 until set_memory_contract runs): the
+    // planned activation-slot footprint; kernel scratch is extra.
     std::int64_t arena_bytes_per_sample = 0;
     std::int64_t peak_activation_bytes_per_worker = 0;  // arena x max_batch
     // Activation-compression contract: what the same slots would occupy
-    // stored as float words (the ADQ_ACT_BITS=off baseline; equals
+    // stored as float words (the plan's arena_bytes_u8 baseline; equals
     // arena_bytes_per_sample when nothing packs) and the slot mix as
     // (storage cell width, slot-owning ops) pairs, ascending — cell 0 =
     // float slots, 1/2/4/8 = packed sub-byte/byte cells.

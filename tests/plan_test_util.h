@@ -1,35 +1,14 @@
-// Shared helpers for plan-level test suites.
+// Shared helpers for test suites.
 #pragma once
 
 #include <cstdlib>
 #include <string>
 
-#include "infer/plan.h"
-
 namespace adq::infer::testutil {
 
-/// Strips the derivable memory-plan annotations — exactly what
-/// save_plan(..., version <= 2) drops on the way down: the v3 arena
-/// footprint / planned input / slot offsets and the v4 activation-storage
-/// annotations (float-baseline footprint + per-op packed cell fields; only
-/// nonzero in packed plans, which older versions refuse outright). Used by
-/// suites that byte-compare against references predating the memory
-/// planner.
-inline InferencePlan without_memory_plan(InferencePlan plan) {
-  plan.arena_bytes = 0;
-  plan.arena_bytes_u8 = 0;
-  plan.planned_input = PlannedInput{};
-  for (OpPlan& op : plan.ops) {
-    op.out_offset = -1;
-    op.out_act_bits = 0;
-    op.out_act_qbits = 0;
-  }
-  return plan;
-}
-
 /// RAII environment-variable pin, restoring the previous value (or
-/// unsetting) on scope exit. Tests use it to pin compile-time knobs such
-/// as ADQ_ACT_BITS without leaking into sibling tests.
+/// unsetting) on scope exit. Tests use it to pin knobs such as
+/// ADQ_THREADS_PER_WORKER without leaking into sibling tests.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {

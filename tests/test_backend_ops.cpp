@@ -65,13 +65,12 @@ struct Options {
 };
 Options g_opts;
 
-/// Backends the suite drives: the pinned one when ADQ_BACKEND / ADQ_SIMD is
-/// set (so the printed repro command re-tests exactly the failing backend),
+/// Backends the suite drives: the pinned one when ADQ_BACKEND is set (so
+/// the printed repro command re-tests exactly the failing backend),
 /// otherwise everything available on this host. Portable-vs-portable rides
 /// along as a free determinism check on the case generator.
 std::vector<const Backend*> backends_under_test() {
-  if (std::getenv("ADQ_BACKEND") != nullptr ||
-      std::getenv("ADQ_SIMD") != nullptr) {
+  if (std::getenv("ADQ_BACKEND") != nullptr) {
     return {&adq::backend::active()};
   }
   return adq::backend::available_backends();
@@ -372,26 +371,19 @@ TEST(BackendRegistry, EveryBackendTableIsComplete) {
 TEST(BackendRegistry, DefaultSelectionIsBestAvailable) {
   const auto avail = adq::backend::available_backends();
   ASSERT_FALSE(avail.empty());
-  const Backend& chosen = adq::backend::resolve_backends_env(nullptr, nullptr);
+  const Backend& chosen = adq::backend::resolve_backends_env(nullptr);
   EXPECT_EQ(&chosen, avail.back());
 }
 
 TEST(BackendRegistry, ExplicitPinSelectsThatBackend) {
   const Backend& chosen =
-      adq::backend::resolve_backends_env("portable", nullptr);
-  EXPECT_STREQ(chosen.name, "portable");
-}
-
-TEST(BackendRegistry, AdqBackendTakesPrecedenceOverLegacySimd) {
-  // Even a nonsense legacy value is ignored once ADQ_BACKEND is set.
-  const Backend& chosen =
-      adq::backend::resolve_backends_env("portable", "bogus");
+      adq::backend::resolve_backends_env("portable");
   EXPECT_STREQ(chosen.name, "portable");
 }
 
 TEST(BackendRegistry, UnknownBackendFailsFastListingRoster) {
   try {
-    adq::backend::resolve_backends_env("neon", nullptr);
+    adq::backend::resolve_backends_env("neon");
     FAIL() << "expected std::runtime_error for an unknown ADQ_BACKEND";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
@@ -403,43 +395,10 @@ TEST(BackendRegistry, UnknownBackendFailsFastListingRoster) {
   }
 }
 
-TEST(BackendRegistry, LegacySimdGenericAliasesPortable) {
-  const Backend& chosen =
-      adq::backend::resolve_backends_env(nullptr, "generic");
-  EXPECT_STREQ(chosen.name, "portable");
-}
-
-TEST(BackendRegistry, LegacySimdRegistryNamesStillResolve) {
-  // ADQ_SIMD=avx2 used to pick the AVX2 kernel cap; it now resolves through
-  // the registry, so it must either select the avx2 backend or fail fast
-  // when the host lacks it — never silently fall back.
-  const Backend* avx2 = adq::backend::find_backend("avx2");
-  ASSERT_NE(avx2, nullptr);
-  if (avx2->available) {
-    const Backend& chosen =
-        adq::backend::resolve_backends_env(nullptr, "avx2");
-    EXPECT_EQ(&chosen, avx2);
-  } else {
-    EXPECT_THROW(adq::backend::resolve_backends_env(nullptr, "avx2"),
-                 std::runtime_error);
-  }
-}
-
-TEST(BackendRegistry, UnknownLegacySimdValueFailsFast) {
-  try {
-    adq::backend::resolve_backends_env(nullptr, "sse9");
-    FAIL() << "expected std::runtime_error for an unknown ADQ_SIMD";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("sse9"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("ADQ_SIMD"), std::string::npos) << msg;
-  }
-}
-
 TEST(BackendRegistry, UnavailableBackendPinFailsFast) {
   for (const Backend* bk : adq::backend::all_backends()) {
     if (bk->available) continue;
-    EXPECT_THROW(adq::backend::resolve_backends_env(bk->name, nullptr),
+    EXPECT_THROW(adq::backend::resolve_backends_env(bk->name),
                  std::runtime_error)
         << bk->name;
   }

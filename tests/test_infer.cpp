@@ -567,16 +567,14 @@ TEST(InferEngine, ResNetPredictionsMatchFakeQuant) {
 }
 
 // --------------------------------------------------------------------------
-// Golden-logits cross-path regression.
+// Golden-logits regression.
 // --------------------------------------------------------------------------
-// The packed sub-byte execution path must be invisible in the output: for
-// pinned seeds the logits are required to be BIT-identical (a) packed vs
-// ADQ_SUBBYTE=0 and (b) across every backend runnable on this host. The
-// GEMM kernels are bit-exact per the conformance harness and every other
-// op in the backend tables is shared, so any hex mismatch here is an
-// engine-integration bug (a wrong repack, stride, or accumulator read),
-// never float rounding — which is why the comparison is on raw bits, not a
-// tolerance.
+// For pinned seeds the logits are required to be BIT-identical to frozen
+// fixtures on every backend runnable on this host. The GEMM kernels are
+// bit-exact per the conformance harness and every other op in the backend
+// tables is shared, so any hex mismatch here is an engine-integration bug
+// (a wrong repack, stride, or accumulator read), never float rounding —
+// which is why the comparison is on raw bits, not a tolerance.
 
 std::string logits_hex(const Tensor& t) {
   std::string s;
@@ -591,30 +589,6 @@ std::string logits_hex(const Tensor& t) {
   }
   return s;
 }
-
-// Scoped env override (engines latch ADQ_SUBBYTE at construction, so the
-// variable only needs to hold while the constructor runs).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 class ScopedBackend {
  public:
@@ -785,131 +759,24 @@ TEST(GoldenLogits, MatchFrozenFixturesOnEveryBackend) {
       << path << " holds lines for cases this test no longer runs";
 }
 
-TEST(GoldenLogits, PackedMatchesUnpackedAcrossEveryBackend) {
-  const GoldenModel kModels[] = {
-      {"vgg19", 101}, {"resnet18", 102}, {"mobilenet_small", 103}};
-  const char* kSettings[] = {"int8", "int4", "int2", "mixed"};
-
-  for (const GoldenModel& gm : kModels) {
-    for (const char* setting : kSettings) {
-      Rng rng(gm.seed);
-      auto model = build_golden_model(gm.name, rng);
-      apply_bit_setting(*model, setting);
-      model->set_training(false);
-      const Tensor x = golden_input(gm.name, rng);
-      const InferencePlan plan = compile(*model);
-
-      std::string golden;  // first backend's packed logits
-      for (const backend::Backend* bk : backend::available_backends()) {
-        const ScopedBackend scope(bk);
-        const std::string where =
-            std::string(gm.name) + "/" + setting + "/" + bk->name;
-        std::string unpacked, packed;
-        {
-          const ScopedEnv env("ADQ_SUBBYTE", "0");
-          const IntInferenceEngine engine(plan);
-          EXPECT_FALSE(engine.subbyte_enabled());
-          unpacked = logits_hex(engine.forward(x));
-        }
-        {
-          const ScopedEnv env("ADQ_SUBBYTE", "1");
-          const IntInferenceEngine engine(plan);
-          EXPECT_TRUE(engine.subbyte_enabled());
-          packed = logits_hex(engine.forward(x));
-        }
-        EXPECT_EQ(packed, unpacked)
-            << where << ": packed weight cells changed the logits";
-        if (golden.empty()) {
-          golden = packed;
-        } else {
-          EXPECT_EQ(packed, golden)
-              << where << ": logits differ from the first backend's";
-        }
-      }
-    }
-  }
-}
-
-TEST(GoldenLogits, PackedActivationSlotsMatchFloatSlotsAcrossEveryBackend) {
-  // Compressed activation slots (ADQ_ACT_BITS) store exactly the codes the
-  // consuming GEMM's own quantize_act would compute, so the packed-slot
-  // plan must be BIT-identical to the float-slot plan of the same model —
-  // on every backend. Any hex mismatch is a pack/unpack or grid bug, never
-  // rounding.
-  const GoldenModel kModels[] = {
-      {"vgg19", 111}, {"resnet18", 112}, {"mobilenet_small", 113}};
-  const char* kSettings[] = {"int8", "int4", "mixed"};
-
-  for (const GoldenModel& gm : kModels) {
-    for (const char* setting : kSettings) {
-      Rng rng(gm.seed);
-      auto model = build_golden_model(gm.name, rng);
-      apply_bit_setting(*model, setting);
-      model->set_training(false);
-      const Tensor x = golden_input(gm.name, rng);
-
-      InferencePlan packed_plan, float_plan;
-      {
-        const ScopedEnv env("ADQ_ACT_BITS", "on");
-        packed_plan = compile(*model);
-      }
-      {
-        const ScopedEnv env("ADQ_ACT_BITS", "off");
-        float_plan = compile(*model);
-      }
-      int packed_ops = 0;
-      for (const OpPlan& op : packed_plan.ops) {
-        packed_ops += op.out_act_bits > 0;
-      }
-      EXPECT_GT(packed_ops, 0) << gm.name << "/" << setting
-                               << ": nothing compressed — vacuous parity";
-
-      std::string golden;
-      for (const backend::Backend* bk : backend::available_backends()) {
-        const ScopedBackend scope(bk);
-        const std::string where =
-            std::string(gm.name) + "/" + setting + "/" + bk->name;
-        const IntInferenceEngine packed_engine(packed_plan);
-        const IntInferenceEngine float_engine(float_plan);
-        const std::string packed = logits_hex(packed_engine.forward(x));
-        const std::string floats = logits_hex(float_engine.forward(x));
-        EXPECT_EQ(packed, floats)
-            << where << ": packed activation slots changed the logits";
-        if (golden.empty()) {
-          golden = packed;
-        } else {
-          EXPECT_EQ(packed, golden)
-              << where << ": logits differ from the first backend's";
-        }
-      }
-    }
-  }
-}
-
-// With packing on, the engine's steady-state weight views keep the <= 4-bit
-// layers' packed cells, so the resident execution bytes must shrink versus
-// the legacy unpack-to-u8 views of the same plan.
+// The engine's steady-state weight views keep the <= 4-bit layers' packed
+// cells, so the resident execution bytes of an int4 plan must sit below
+// the byte-per-code views of the same network at int8.
 TEST(InferEngine, PackedExecViewShrinksSteadyStateWeights) {
   Rng rng(11);
   models::VggConfig cfg;
   cfg.width_mult = 0.0625;
   cfg.num_classes = 10;
   auto model = models::build_vgg19(cfg, rng);
-  set_uniform_bits(*model, 4);
   model->set_training(false);
-  const InferencePlan plan = compile(*model);
-
-  std::int64_t unpacked_bytes = 0, packed_bytes = 0;
-  {
-    const ScopedEnv env("ADQ_SUBBYTE", "0");
-    unpacked_bytes = IntInferenceEngine(plan).exec_weight_bytes();
-  }
-  {
-    const ScopedEnv env("ADQ_SUBBYTE", "1");
-    packed_bytes = IntInferenceEngine(plan).exec_weight_bytes();
-  }
+  set_uniform_bits(*model, 8);
+  const std::int64_t byte_bytes =
+      IntInferenceEngine(compile(*model)).exec_weight_bytes();
+  set_uniform_bits(*model, 4);
+  const std::int64_t packed_bytes =
+      IntInferenceEngine(compile(*model)).exec_weight_bytes();
   // 4-bit cells halve the byte-per-code views (frozen float ends shared).
-  EXPECT_LT(packed_bytes, unpacked_bytes);
+  EXPECT_LT(packed_bytes, byte_bytes);
 }
 
 TEST(InferEngine, SubByteWeightsShrinkThePlan) {

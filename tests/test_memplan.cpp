@@ -4,15 +4,15 @@
 // (chains + residual diamonds) a byte-level replay of the execution
 // schedule proves no live value is ever clobbered by another slot;
 // offsets are deterministic across runs; the Fig-2 ResNet skip quantizer
-// and unfused ReLUs really do execute in place; packing genuinely reuses
-// memory (arena << sum of values).
+// runs eagerly into its own slot while unfused ReLUs execute in place;
+// packing genuinely reuses memory (arena << sum of values).
 //
-// ArenaExec: the slot-based executor is bit-identical to the heap path
-// (ADQ_ARENA=0) on VGG19, ResNet18 and MobileNet-small across
-// int8/int4/int2/mixed policies; the measured peak activation footprint
-// equals the planner's predicted arena_bytes; and — via a global
-// operator new/delete counter — a steady-state forward_into() performs
-// ZERO heap allocations.
+// ArenaExec: the measured peak activation footprint equals the planner's
+// predicted arena_bytes; inconsistent slot layouts and off-plan input
+// shapes are rejected; and — via a global operator new/delete counter — a
+// steady-state forward_into() performs ZERO heap allocations. The
+// executor's logits are pinned by the GoldenLogits fixtures
+// (test_infer.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,7 +35,6 @@
 #include "models/mobilenet.h"
 #include "models/resnet.h"
 #include "models/vgg.h"
-#include "plan_test_util.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -220,37 +219,56 @@ std::unique_ptr<models::QuantizableModel> small_vgg(std::uint64_t seed) {
   return model;
 }
 
-TEST(MemPlanner, ResNetSkipQuantizerRunsInPlace) {
-  // The Fig-2 skip quantizer is scheduled lazily (just before the add), at
-  // which point the main branch is done reading the fork — so the planner
-  // must alias its output onto the fork's slot in EVERY residual block, and
-  // the lowered plan must carry that aliasing (out_offset == -1). This is
-  // the float-storage schedule: packed skip quantizers run eagerly into a
-  // fresh slot instead, so pin compression off.
-  const testutil::ScopedEnv act_off("ADQ_ACT_BITS", "off");
+graph::ActStorageOptions float_slots() {
+  graph::ActStorageOptions opts;
+  opts.mode = graph::ActStorageOptions::Mode::kOff;
+  return opts;
+}
+
+// Every kQuantizeSkip op sits right after its push and owns a slot.
+int count_eager_skip_quantizers(const InferencePlan& plan) {
+  int eager = 0;
+  for (std::size_t i = 1; i < plan.ops.size(); ++i) {
+    if (plan.ops[i].kind != OpKind::kQuantizeSkip) continue;
+    EXPECT_GE(plan.ops[i].out_offset, 0) << "op " << i;
+    EXPECT_EQ(static_cast<int>(plan.ops[i - 1].kind),
+              static_cast<int>(OpKind::kPushSkip))
+        << "op " << i << " is not scheduled right after its push";
+    ++eager;
+  }
+  return eager;
+}
+
+TEST(MemPlanner, FloatSkipQuantizerRunsEagerlyIntoAFreshSlot) {
+  // A float skip quantizer runs right after the fork, like a packed one:
+  // the main branch still reads the fork, so the planner must give the
+  // quantized skip a slot of its own in EVERY residual block.
   auto model = small_resnet(4, 81);
   graph::Graph g = graph::build_from_model(*model);
   graph::legalize(g);
-  graph::plan_memory(g);
+  graph::plan_memory(g, float_slots());
   int skip_quantizers = 0;
   for (int i = 0; i < g.size(); ++i) {
     const graph::Node& n = g.at(i);
     if (n.dead || n.kind != graph::NodeKind::kQuantize) continue;
     ++skip_quantizers;
-    EXPECT_TRUE(n.mem.inplace) << n.name;
-    // Aliased onto the fork's slot, not a fresh one.
-    EXPECT_EQ(n.mem.offset, g.at(n.inputs[0]).mem.offset) << n.name;
+    EXPECT_FALSE(n.mem.inplace) << n.name;
+    EXPECT_EQ(n.mem.act_bits, 0) << n.name;
+    EXPECT_NE(n.mem.offset, g.at(n.inputs[0]).mem.offset) << n.name;
   }
   EXPECT_EQ(skip_quantizers, 8);  // one per residual block
+  EXPECT_EQ(count_eager_skip_quantizers(lower_to_plan(g)), 8);
 
-  const InferencePlan plan = compile(*model);
-  int quantize_skip_ops = 0;
+  // Above the integer ceiling the skip quantizers stay float in a default
+  // compile too (the 16-bit models as built).
+  auto wide = small_resnet(16, 81);
+  const InferencePlan plan = compile(*wide);
   for (const OpPlan& op : plan.ops) {
-    if (op.kind != OpKind::kQuantizeSkip) continue;
-    ++quantize_skip_ops;
-    EXPECT_EQ(op.out_offset, -1);  // in place over the fork slot
+    if (op.kind == OpKind::kQuantizeSkip) {
+      EXPECT_EQ(op.out_act_bits, 0);
+    }
   }
-  EXPECT_EQ(quantize_skip_ops, 8);
+  EXPECT_EQ(count_eager_skip_quantizers(plan), 8);
 }
 
 TEST(MemPlanner, UnfusedReluRunsInPlace) {
@@ -273,14 +291,13 @@ TEST(MemPlanner, PackingReusesMemory) {
   // whole point of lifetime packing. VGG19 peaks where the two largest
   // conv maps are simultaneously live (producer + consumer at the first
   // stack), so the arena is exactly two peak slabs, not the network total.
-  // Float storage pinned: packed cells shrink the peak slabs asymmetrically
-  // (the producer packs, its float input does not), breaking the 2x
-  // identity this test pins.
-  const testutil::ScopedEnv act_off("ADQ_ACT_BITS", "off");
+  // Float storage: packed cells shrink the peak slabs asymmetrically (the
+  // producer packs, its float input does not), breaking the 2x identity
+  // this test pins.
   auto model = small_vgg(83);
   graph::Graph g = graph::build_from_model(*model);
   graph::legalize(g);
-  const std::int64_t arena = graph::plan_memory(g);
+  const std::int64_t arena = graph::plan_memory(g, float_slots());
   std::int64_t total = 0, largest = 0;
   for (int i = 0; i < g.size(); ++i) {
     if (g.at(i).dead || i == g.input()) continue;
@@ -305,7 +322,7 @@ TEST(MemPlanner, CompiledPlansAreByteDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// MemPlanner — compressed activation slots (ADQ_ACT_BITS).
+// MemPlanner — compressed activation slots.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<models::QuantizableModel> paper_mixed_resnet(
@@ -348,7 +365,6 @@ TEST(MemPlanner, PackedArenaShrinksAtLeast35PctOnMixedPlans) {
   // The tentpole's acceptance bar: sub-byte activation cells shrink the
   // paper-mixed ResNet18 and MobileNet-small arenas by at least 35%
   // against the float-slot baseline the planner records alongside.
-  const testutil::ScopedEnv act_on("ADQ_ACT_BITS", "on");
   for (auto& plan : {compile(*paper_mixed_resnet(181)),
                      compile(*mixed_mobilenet(182))}) {
     ASSERT_GT(plan.arena_bytes, 0) << plan.model_name;
@@ -365,26 +381,22 @@ TEST(MemPlanner, PackedSkipQuantizerRunsEagerlyIntoAFreshSlot) {
   // would overwrite float words the main chain still reads), so the
   // lowering schedules it eagerly — immediately after the push, while the
   // fork is untouched — into its own packed slot.
-  const testutil::ScopedEnv act_on("ADQ_ACT_BITS", "on");
   auto model = small_resnet(4, 183);
   const InferencePlan plan = compile(*model);
   int packed_skips = 0;
-  for (std::size_t i = 0; i < plan.ops.size(); ++i) {
-    const OpPlan& op = plan.ops[i];
-    if (op.kind != OpKind::kQuantizeSkip || op.out_act_bits <= 0) continue;
-    ++packed_skips;
-    EXPECT_GE(op.out_offset, 0) << "op " << i;
-    ASSERT_GT(i, 0u);
-    EXPECT_EQ(static_cast<int>(plan.ops[i - 1].kind),
-              static_cast<int>(OpKind::kPushSkip))
-        << "op " << i << " is not scheduled right after its push";
+  for (const OpPlan& op : plan.ops) {
+    packed_skips += op.kind == OpKind::kQuantizeSkip && op.out_act_bits > 0;
   }
   EXPECT_EQ(packed_skips, 8);  // every residual block's quantizer packs
+  EXPECT_EQ(count_eager_skip_quantizers(plan), 8);
 }
 
 TEST(MemPlanner, OffModeKeepsFloatSlotsAndBaselineEqual) {
-  const testutil::ScopedEnv act_off("ADQ_ACT_BITS", "off");
-  const InferencePlan plan = compile(*paper_mixed_resnet(184));
+  auto model = paper_mixed_resnet(184);
+  graph::Graph g = graph::build_from_model(*model);
+  graph::legalize(g);
+  graph::plan_memory(g, float_slots());
+  const InferencePlan plan = lower_to_plan(g);
   for (const OpPlan& op : plan.ops) {
     EXPECT_EQ(op.out_act_bits, 0);
     EXPECT_EQ(op.out_act_qbits, 0);
@@ -392,98 +404,9 @@ TEST(MemPlanner, OffModeKeepsFloatSlotsAndBaselineEqual) {
   EXPECT_EQ(plan.arena_bytes_u8, plan.arena_bytes);
 }
 
-TEST(MemPlanner, ActBitsPinWidensToTheGridAndRejectsGarbage) {
-  {
-    // Pinned to 8: every packed value stores one code per byte.
-    const testutil::ScopedEnv env("ADQ_ACT_BITS", "8");
-    const InferencePlan plan = compile(*small_resnet(4, 185));
-    int packed = 0;
-    for (const OpPlan& op : plan.ops) {
-      if (op.out_act_bits <= 0) continue;
-      ++packed;
-      EXPECT_EQ(op.out_act_bits, 8);
-    }
-    EXPECT_GT(packed, 0);
-  }
-  {
-    // Pinned to 2 on a 4-bit model: codes must fit, so the cell widens to
-    // the grid's natural 4 bits instead of truncating.
-    const testutil::ScopedEnv env("ADQ_ACT_BITS", "2");
-    const InferencePlan plan = compile(*small_resnet(4, 185));
-    int packed = 0;
-    for (const OpPlan& op : plan.ops) {
-      if (op.out_act_bits <= 0) continue;
-      ++packed;
-      EXPECT_EQ(op.out_act_bits, 4) << "4-bit codes in a 2-bit cell";
-    }
-    EXPECT_GT(packed, 0);
-  }
-  {
-    // A typo must fail compilation loudly, never silently change the plan.
-    const testutil::ScopedEnv env("ADQ_ACT_BITS", "banana");
-    auto model = small_resnet(4, 185);
-    EXPECT_THROW(compile(*model), std::invalid_argument);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ArenaExec — the slot-based executor.
 // ---------------------------------------------------------------------------
-
-void expect_arena_matches_heap(const InferencePlan& plan, const Tensor& x,
-                               const std::string& label) {
-  const IntInferenceEngine engine(plan);
-  ASSERT_TRUE(engine.uses_arena(x)) << label;
-  const Tensor arena = engine.forward(x);
-  setenv("ADQ_ARENA", "0", 1);
-  ASSERT_FALSE(engine.uses_arena(x)) << label;
-  const Tensor heap = engine.forward(x);
-  unsetenv("ADQ_ARENA");
-  ASSERT_EQ(arena.shape(), heap.shape()) << label;
-  for (std::int64_t i = 0; i < arena.numel(); ++i) {
-    ASSERT_EQ(arena[i], heap[i]) << label << " logit " << i;
-  }
-}
-
-TEST(ArenaExec, BitIdenticalToHeapPathAcrossModelsAndPolicies) {
-  Rng rng(90);
-  Tensor x32(Shape{4, 3, 32, 32});
-  rng.fill_normal(x32, 0.0f, 1.0f);
-  Tensor x16(Shape{4, 3, 16, 16});
-  rng.fill_normal(x16, 0.0f, 1.0f);
-
-  const std::vector<std::vector<int>> policies{
-      {8}, {4}, {2}, {8, 4, 2}};  // uniform int8/int4/int2 + mixed
-  for (const std::vector<int>& policy : policies) {
-    const std::string tag =
-        "policy" + std::to_string(policy.size() == 1 ? policy[0] : 0);
-    auto apply = [&](models::QuantizableModel& m) {
-      for (int i = 0; i < m.unit_count(); ++i) {
-        if (!m.unit(i).frozen) {
-          m.unit(i).set_bits(
-              policy[static_cast<std::size_t>(i) % policy.size()]);
-        }
-      }
-    };
-
-    auto vgg = small_vgg(91);
-    apply(*vgg);
-    expect_arena_matches_heap(compile(*vgg), x32, "vgg19/" + tag);
-
-    auto resnet = small_resnet(8, 92);
-    apply(*resnet);
-    expect_arena_matches_heap(compile(*resnet), x16, "resnet18/" + tag);
-
-    Rng mrng(93);
-    models::MobileNetConfig mcfg;
-    mcfg.width_mult = 0.25;
-    mcfg.num_classes = 10;
-    auto mobilenet = models::build_mobilenet_small(mcfg, mrng);
-    mobilenet->set_training(false);
-    apply(*mobilenet);
-    expect_arena_matches_heap(compile(*mobilenet), x32, "mobilenet/" + tag);
-  }
-}
 
 TEST(ArenaExec, MeasuredPeakEqualsPlannedArenaBytes) {
   // Replaying the executor's shape walk over the planned slots, the
@@ -525,8 +448,8 @@ TEST(ArenaExec, EngineRejectsOverlappingSlots) {
     EXPECT_THROW(IntInferenceEngine{std::move(plan)}, std::runtime_error);
   }
   {
-    // A main-chain conv clobbering the residual fork slot the deferred
-    // skip quantizer still needs.
+    // A main-chain conv writing its output over the residual fork slot it
+    // is still reading.
     auto model = small_resnet(8, 87);
     InferencePlan plan = compile(*model);
     std::size_t stem = 0;
@@ -541,18 +464,39 @@ TEST(ArenaExec, EngineRejectsOverlappingSlots) {
   }
 }
 
-TEST(ArenaExec, OffPlanInputsFallBackToHeapPath) {
-  // ResNet is input-size agnostic (GAP head): a shape the plan was not
-  // planned for must still execute — on the heap path.
+TEST(ArenaExec, OffPlanInputShapeThrowsNamingBothShapes) {
+  // ResNet's GAP head would accept any spatial size, but the arena was
+  // planned for one: an off-plan shape is refused, never executed into
+  // slots sized for another.
   auto model = small_resnet(8, 96);
-  const InferencePlan plan = compile(*model);
-  const IntInferenceEngine engine(plan);
+  const IntInferenceEngine engine(compile(*model));
   Rng rng(97);
   Tensor x(Shape{2, 3, 20, 20});
   rng.fill_normal(x, 0.0f, 1.0f);
   EXPECT_FALSE(engine.uses_arena(x));
-  const Tensor y = engine.forward(x);
-  EXPECT_EQ(y.shape(), (Shape{2, 10}));
+  try {
+    engine.forward(x);
+    FAIL() << "off-plan input executed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("[2, 3, 20, 20]"), std::string::npos) << what;
+    EXPECT_NE(what.find("[B, 3, 16, 16]"), std::string::npos) << what;
+  }
+  Tensor planned(Shape{2, 3, 16, 16});
+  rng.fill_normal(planned, 0.0f, 1.0f);
+  EXPECT_EQ(engine.forward(planned).shape(), (Shape{2, 10}));
+}
+
+TEST(ArenaExec, EngineRejectsPlanWithoutMemoryPlan) {
+  InferencePlan plan = compile(*small_vgg(88));
+  plan.arena_bytes = 0;
+  try {
+    IntInferenceEngine engine(std::move(plan));
+    FAIL() << "plan without a memory plan accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no memory plan"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ArenaExec, SteadyStateForwardMakesZeroHeapAllocations) {

@@ -1,8 +1,8 @@
 // .adqplan serialization tests: byte-stable round-trips that reproduce
 // predictions exactly for int8/int4/int2 mixed plans (VGG19 and ResNet18,
-// so the residual ops serialize too), plus rejection of bad magic,
-// unsupported versions, truncation, and corrupt payloads with clear
-// errors.
+// so the residual ops serialize too), plus rejection of bad magic, every
+// format version but the current one, plans without a memory plan,
+// truncation, and corrupt payloads with clear errors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,13 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "graph/build.h"
+#include "graph/passes.h"
 #include "infer/engine.h"
 #include "infer/plan.h"
 #include "infer/plan_io.h"
 #include "models/mobilenet.h"
 #include "models/resnet.h"
 #include "models/vgg.h"
-#include "plan_test_util.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -37,9 +38,6 @@ InferencePlan from_bytes(const std::string& bytes) {
   std::istringstream in(bytes, std::ios::binary);
   return load_plan(in);
 }
-
-// What an older-version save drops: the derivable memory-plan annotations.
-using testutil::without_memory_plan;
 
 std::unique_ptr<models::QuantizableModel> small_vgg(
     const std::vector<int>& bit_pattern, std::uint64_t seed = 21) {
@@ -165,9 +163,9 @@ TEST(PlanIo, ResNetRoundTripSerializesResidualOps) {
 }
 
 TEST(PlanIo, V3RoundTripPreservesMemoryPlan) {
-  // The v3 memory plan — arena footprint, planned input shape, per-op slot
-  // offsets, deferred skip-quantize ops — survives a round trip byte for
-  // byte and the loaded plan still executes on the arena path.
+  // The memory plan — arena footprint, planned input shape, per-op slot
+  // offsets, skip-quantize ops — survives a round trip byte for byte and
+  // the loaded plan still executes on the arena path.
   Rng rng(24);
   models::ResNetConfig cfg;
   cfg.width_mult = 0.0625;
@@ -194,63 +192,13 @@ TEST(PlanIo, V3RoundTripPreservesMemoryPlan) {
     quantize_skips += loaded.ops[i].kind == OpKind::kQuantizeSkip;
     slotted += loaded.ops[i].out_offset >= 0;
   }
-  EXPECT_EQ(quantize_skips, 8);  // one deferred Fig-2 quantizer per block
+  EXPECT_EQ(quantize_skips, 8);  // one Fig-2 quantizer per block
   EXPECT_GT(slotted, 0);
 
   Tensor x(Shape{3, 3, 16, 16});
   rng.fill_normal(x, 0.0f, 1.0f);
   const IntInferenceEngine engine(loaded);
   EXPECT_TRUE(engine.uses_arena(x));
-  expect_identical_forward(plan, loaded, x);
-}
-
-TEST(PlanIo, RefusesWritingDeferredSkipQuantizeAtVersion2) {
-  // A residual plan's deferred skip-quantize op is v3 semantics a v2
-  // reader cannot execute: writing it at version 2 must fail loudly, with
-  // the op and version named, never silently drop the quantization.
-  Rng rng(25);
-  models::ResNetConfig cfg;
-  cfg.width_mult = 0.0625;
-  cfg.num_classes = 10;
-  cfg.input_size = 16;
-  auto model = models::build_resnet18(cfg, rng);
-  model->set_training(false);
-  for (int i = 0; i < model->unit_count(); ++i) {
-    if (!model->unit(i).frozen) model->unit(i).set_bits(8);
-  }
-  const InferencePlan plan = compile(*model);
-  std::ostringstream out(std::ios::binary);
-  try {
-    save_plan(plan, out, /*version=*/2);
-    FAIL() << "deferred skip-quantize written at v2";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("skip-quantize"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
-  }
-}
-
-TEST(PlanIo, Version2WritingDropsMemoryPlanButExecutesIdentically) {
-  // A plain chain (no residual ops) IS expressible at v2; the write drops
-  // only the derivable arena annotations and the loaded plan falls back to
-  // the heap executor with bit-identical logits. Compiled with activation
-  // compression off — packed slots are not expressible below v4 and
-  // save_plan refuses them rather than dropping (covered elsewhere).
-  const testutil::ScopedEnv act_off("ADQ_ACT_BITS", "off");
-  auto model = small_vgg({8, 4});
-  const InferencePlan plan = compile(*model);
-  ASSERT_GT(plan.arena_bytes, 0);
-  std::ostringstream out(std::ios::binary);
-  save_plan(plan, out, /*version=*/2);
-  const InferencePlan loaded = from_bytes(out.str());
-  EXPECT_EQ(loaded.arena_bytes, 0);
-  for (const OpPlan& op : loaded.ops) EXPECT_EQ(op.out_offset, -1);
-
-  Rng rng(58);
-  Tensor x(Shape{4, 3, 32, 32});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  const IntInferenceEngine engine(loaded);
-  EXPECT_FALSE(engine.uses_arena(x));
   expect_identical_forward(plan, loaded, x);
 }
 
@@ -313,61 +261,6 @@ TEST(PlanIo, WritesCurrentFormatVersionInHeader) {
   EXPECT_EQ(kPlanFormatVersion, 4u);
 }
 
-TEST(PlanIo, LoadsPreviousFormatVersion) {
-  // Format bumps must not orphan existing plan files: a plan expressible
-  // in v1 saves at version 1 and loads back with identical semantics —
-  // never a silent misparse. The v3 memory-plan annotations are derivable
-  // metadata, dropped on the way down (the loaded plan then runs on the
-  // engine's heap path, bit-identically). Compiled with activation
-  // compression off: v4 packed slots are refused below v4, not dropped.
-  const testutil::ScopedEnv act_off("ADQ_ACT_BITS", "off");
-  auto model = small_vgg({8, 4, 2});
-  const InferencePlan plan = compile(*model);
-  ASSERT_GT(plan.arena_bytes, 0);  // freshly compiled plans are planned
-  std::ostringstream out(std::ios::binary);
-  save_plan(plan, out, /*version=*/1);
-  const std::string v1_bytes = out.str();
-
-  std::uint32_t version;
-  std::memcpy(&version, v1_bytes.data() + 8, sizeof(version));
-  ASSERT_EQ(version, 1u);
-  ASSERT_LT(v1_bytes.size(), to_bytes(plan).size());  // no depthwise bytes
-
-  const InferencePlan loaded = from_bytes(v1_bytes);
-  ASSERT_EQ(loaded.layers.size(), plan.layers.size());
-  for (const GemmLayerPlan& l : loaded.layers) EXPECT_FALSE(l.is_depthwise);
-  EXPECT_EQ(loaded.arena_bytes, 0);  // memory plan dropped, not misparsed
-  // Re-saving at the current version is byte-identical to the direct save
-  // up to the dropped memory plan.
-  EXPECT_EQ(to_bytes(loaded), to_bytes(without_memory_plan(plan)));
-
-  Rng rng(55);
-  Tensor x(Shape{4, 3, 32, 32});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  expect_identical_forward(plan, loaded, x);
-}
-
-TEST(PlanIo, RefusesWritingDepthwiseAtVersion1) {
-  Rng rng(56);
-  models::MobileNetConfig cfg;
-  cfg.width_mult = 0.25;
-  cfg.num_classes = 10;
-  auto model = models::build_mobilenet_small(cfg, rng);
-  model->set_training(false);
-  for (int i = 0; i < model->unit_count(); ++i) {
-    if (!model->unit(i).frozen) model->unit(i).set_bits(8);
-  }
-  const InferencePlan plan = compile(*model);
-  std::ostringstream out(std::ios::binary);
-  try {
-    save_plan(plan, out, /*version=*/1);
-    FAIL() << "depthwise plan written at v1";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(PlanIo, DepthwiseRoundTripIsByteStable) {
   Rng rng(57);
   models::MobileNetConfig cfg;
@@ -404,11 +297,74 @@ TEST(PlanIo, RejectsBadMagic) {
   }
 }
 
+std::string with_header_version(std::string bytes, std::uint32_t version) {
+  bytes.replace(8, 4, reinterpret_cast<const char*>(&version), 4);
+  return bytes;
+}
+
+TEST(PlanIo, RejectsEveryOtherFormatVersion) {
+  // The checksum covers only the payload, so a relabelled header still
+  // passes it: the version check alone must refuse the file, naming the
+  // version it found and the one this build reads.
+  const std::string bytes = to_bytes(compile(*small_vgg({8, 4})));
+  for (const std::uint32_t version : {1u, 2u, 3u, 5u}) {
+    try {
+      from_bytes(with_header_version(bytes, version));
+      FAIL() << "format version " << version << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("reads only 4"), std::string::npos) << what;
+      EXPECT_NE(what.find("recompile"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(PlanIo, RejectsPlanWithoutMemoryPlan) {
+  // save_plan recomputes the checksum, so only the loader's own check can
+  // refuse a plan the arena executor cannot run.
+  InferencePlan plan = compile(*small_vgg({8}));
+  plan.arena_bytes = 0;
+  try {
+    from_bytes(to_bytes(plan));
+    FAIL() << "plan without a memory plan accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no memory plan"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PlanIo, RejectsPushSkipCarryingSkipBits) {
+  // Skip quantization is its own kQuantizeSkip op; a push that claims a
+  // bit-width would otherwise be executed as a plain alias.
+  Rng rng(26);
+  models::ResNetConfig cfg;
+  cfg.width_mult = 0.0625;
+  cfg.num_classes = 10;
+  cfg.input_size = 16;
+  auto model = models::build_resnet18(cfg, rng);
+  model->set_training(false);
+  InferencePlan plan = compile(*model);
+  for (OpPlan& op : plan.ops) {
+    if (op.kind == OpKind::kPushSkip) {
+      op.skip_bits = 8;
+      break;
+    }
+  }
+  try {
+    from_bytes(to_bytes(plan));
+    FAIL() << "push-skip with skip bits accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("push-skip"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PlanIo, RejectsNewerVersion) {
   auto model = small_vgg({8});
-  std::string bytes = to_bytes(compile(*model));
-  const std::uint32_t future_version = 999;
-  bytes.replace(8, 4, reinterpret_cast<const char*>(&future_version), 4);
+  const std::string bytes = with_header_version(to_bytes(compile(*model)), 999);
   try {
     from_bytes(bytes);
     FAIL() << "future version accepted";
@@ -474,7 +430,6 @@ TEST(PlanIo, MissingFileError) {
 // ---------------------------------------------------------------------------
 
 InferencePlan packed_plan() {
-  const testutil::ScopedEnv act_on("ADQ_ACT_BITS", "on");
   auto model = small_vgg({8, 4, 2});
   return compile(*model);
 }
@@ -502,53 +457,17 @@ TEST(PlanIo, V4RoundTripPreservesPackedActivationSlots) {
   expect_identical_forward(plan, loaded, x);
 }
 
-TEST(PlanIo, RefusesWritingPackedSlotsBelowVersion4) {
-  // A v3 file would keep slot offsets sized for packed codes while v3
-  // readers execute float stores — silent corruption, so the save must
-  // refuse with the version and the recompile remedy named.
-  const InferencePlan plan = packed_plan();
-  for (const std::uint32_t version : {3u, 2u, 1u}) {
-    std::ostringstream out(std::ios::binary);
-    try {
-      save_plan(plan, out, version);
-      FAIL() << "packed plan written at v" << version;
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("format version 4"), std::string::npos) << what;
-      EXPECT_NE(what.find("ADQ_ACT_BITS=off"), std::string::npos) << what;
-    }
-  }
-}
-
-TEST(PlanIo, V3FileLoadsWithFloatSlots) {
-  // Pre-v4 files carry no activation-storage annotations: every slot loads
-  // as float storage and the float baseline backfills from the arena
-  // footprint itself — never a misparse.
-  const testutil::ScopedEnv act_off("ADQ_ACT_BITS", "off");
-  auto model = small_vgg({8, 4});
-  const InferencePlan plan = compile(*model);
-  std::ostringstream out(std::ios::binary);
-  save_plan(plan, out, /*version=*/3);
-  const InferencePlan loaded = from_bytes(out.str());
-  EXPECT_EQ(loaded.arena_bytes, plan.arena_bytes);
-  EXPECT_EQ(loaded.arena_bytes_u8, plan.arena_bytes);
-  for (const OpPlan& op : loaded.ops) {
-    EXPECT_EQ(op.out_act_bits, 0);
-    EXPECT_EQ(op.out_act_qbits, 0);
-  }
-
-  Rng rng(62);
-  Tensor x(Shape{4, 3, 32, 32});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  expect_identical_forward(plan, loaded, x);
-}
-
 TEST(PlanIo, FingerprintSeparatesPackedFromFloatSlotPlans) {
   // Same model, same weights — but the packed plan stores different bytes
   // in its activation slots, so the fingerprints must differ.
   const std::uint64_t packed = plan_fingerprint(packed_plan());
-  const testutil::ScopedEnv act_off("ADQ_ACT_BITS", "off");
-  EXPECT_NE(plan_fingerprint(compile(*small_vgg({8, 4, 2}))), packed);
+  auto model = small_vgg({8, 4, 2});
+  graph::Graph g = graph::build_from_model(*model);
+  graph::legalize(g);
+  graph::ActStorageOptions float_slots;
+  float_slots.mode = graph::ActStorageOptions::Mode::kOff;
+  graph::plan_memory(g, float_slots);
+  EXPECT_NE(plan_fingerprint(lower_to_plan(g)), packed);
 }
 
 TEST(PlanIo, RejectsInvalidPackedCellWidth) {
